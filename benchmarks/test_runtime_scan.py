@@ -17,7 +17,8 @@ are recorded alongside the Fig. 5 table.
 ``test_raster_plane_speedup`` then pits the raster-plane fast path
 against the per-clip reference path (dedup off on both, so rasterize +
 feature + forward cost is what's measured) and records windows/s and the
-speedup ratios to ``BENCH_scan.json`` at the repo root.
+speedup ratios to ``BENCH_scan.json`` at the repo root, together with the
+CPU count and every loaded OpenBLAS with its thread count.
 """
 
 import json
@@ -166,7 +167,7 @@ def test_raster_plane_speedup(benchmark, suite, out_dir):
     throughput drift moves both sides of a pair together and cancels.
     All rows land in ``BENCH_scan.json`` at the repo root.
     """
-    from repro.bench import write_table
+    from repro.bench import hardware, write_table
     from repro.core.registry import create
     from repro.runtime import ScanEngine
 
@@ -259,6 +260,8 @@ def test_raster_plane_speedup(benchmark, suite, out_dir):
 
     rows = []
     record = {
+        "hardware": hardware(),
+        "rounds": ROUNDS,
         "workload": {
             "cell_nm": 2048,
             "nx": 3,

@@ -1,6 +1,7 @@
 """Benchmark harness: canonical workloads, run matrix, table formatting."""
 
 from .harness import pivot_metric, results_to_rows, run_matrix
+from .hardware import hardware
 from .tables import format_table, write_table
 from .workloads import (
     DEFAULT_SEED,
@@ -23,4 +24,5 @@ __all__ = [
     "cache_dir",
     "results_dir",
     "DEFAULT_SEED",
+    "hardware",
 ]

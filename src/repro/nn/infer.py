@@ -15,10 +15,10 @@ scoring thousands of raster windows per band) it dominates the runtime.
   statistics are affine in the layer output), and a ReLU directly after a
   Conv2D/Dense/affine op becomes an in-place ``np.maximum`` on the GEMM
   output.  Dropout is the identity at eval time and compiles away,
-* **one GEMM per conv, no per-call allocation** — convolution runs as a
-  single ``cols @ w_mat`` over the whole batch.  Activations flow in
-  ``(N, H, W, C)`` layout so the im2col gather is one
-  ``sliding_window_view`` copy into a **persistent workspace** buffer
+* **kernel-row GEMMs, no per-call allocation** — convolution runs as
+  one GEMM per kernel row over a fixed-size chunk of windows.
+  Activations flow in ``(N, H, W, C)`` layout so each row's im2col
+  gather is one strided copy into a **persistent workspace** buffer
   (reused across raster batches of a plane) whose column order already
   matches the pre-transposed weight matrix — no output transpose either,
 * **optional int8 quantization** — ``mode="int8"`` stores conv/dense
@@ -35,6 +35,18 @@ scoring thousands of raster windows per band) it dominates the runtime.
 The float plan is numerically the same function as the eval-mode
 layer-by-layer forward — logits agree to ~1e-13 (GEMM summation order is
 the only difference), which the parity suite pins at ``<= 1e-10``.
+A plan's scores do not depend on the batch size it is called with:
+every GEMM runs on a fixed number of windows (:data:`GEMM_WINDOWS`).
+
+**One BLAS.**  Every GEMM here goes through ``np.matmul``, never
+``scipy.linalg.blas``.  The numpy and scipy wheels each bundle their own
+OpenBLAS with its own thread pool, and an idle pool's threads busy-wait;
+a forward pass that alternates between the two libraries keeps both
+pools spinning against each other for the same cores.  On a 2-vCPU host
+that made the fused plan no faster than the layer-by-layer forward
+(a cnn-dct chip scan spent 3.3 s in the plan on two libraries, 0.85 s
+on numpy's alone).  ``tests/nn/test_one_blas.py`` keeps ``src/repro`` off
+scipy's BLAS.
 """
 
 from __future__ import annotations
@@ -44,8 +56,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.blas import dgemm as _dgemm
-from scipy.linalg.blas import sgemm as _sgemm
 
 from .im2col import conv_out_size
 from .layers import (
@@ -72,6 +82,13 @@ class QuantizationError(ValueError):
 
 #: inference backend spellings accepted across the library
 BACKENDS = ("layers", "fused", "fused-int8")
+
+#: windows per GEMM call.  BLAS picks its kernel (``gemv`` for one row,
+#: a small-matrix path, edge tiles, the thread split) from the problem
+#: shape, so a window's last bit depended on how many windows shared
+#: its call.  Every plan GEMM therefore runs on a fixed window count,
+#: a batch tail padded up to it; 32 divides both preferred batches.
+GEMM_WINDOWS = 32
 
 
 class Workspace:
@@ -150,6 +167,11 @@ class _FusedConv(_Op):
     into the output.  Combined with sub-batch chunking (the gather
     scratch stays cache-resident until its GEMM consumes it) this is
     ~2-3x faster than whole-batch im2col on a memory-bound host.
+
+    Row 0's GEMM writes the output chunk directly; rows ``1..k-1`` each
+    write a partial-sum chunk that is then added in place — the
+    dot-then-add rounding of a BLAS ``beta=1`` epilogue, kept on numpy's
+    BLAS (see the module docstring).
     """
 
     tag = "conv"
@@ -232,24 +254,22 @@ class _FusedConv(_Op):
         flat = xp.reshape(n, h + 2 * p, (w + 2 * p) * c)
         st = flat.strides
         item = dt.itemsize
-        chunk = max(
-            1, min(n, self.CHUNK_BYTES // max(1, oh * ow * k * c * item))
-        )
-        cols = ws.empty(("cols", self.index), (chunk * oh * ow, k * c), dt)
+        # a fixed window count per GEMM (see GEMM_WINDOWS): the largest
+        # power of two within the gather budget, so it divides the cap
+        fit = max(1, self.CHUNK_BYTES // max(1, oh * ow * k * c * item))
+        chunk = min(GEMM_WINDOWS, 1 << (fit.bit_length() - 1))
+        rows = chunk * oh * ow
+        # a tail chunk's padding rows keep zeros or an earlier chunk's
+        # columns; GEMM rows never mix, so they cost time, not bits
+        cols = ws.zeros(("cols", self.index), (rows, k * c), dt)
+        # chunk-sized, so it stays cache-resident like the gather
+        part = ws.empty(("part", self.index), (rows, self.out_channels), dt)
+        n_pad = -(-n // chunk) * chunk
         out = ws.empty(
-            ("out", self.index), (n * oh * ow, self.out_channels), dt
+            ("out", self.index), (n_pad * oh * ow, self.out_channels), dt
         )
-        # kernel rows 1..k-1 accumulate inside the GEMM epilogue
-        # (``C = A@B + C`` via BLAS ``beta=1``) instead of materializing
-        # a partial-sum buffer and adding it in a second pass — same
-        # dot-then-add rounding, one less full sweep of the output per
-        # row.  The C-order product is run as its transpose so every
-        # operand is a zero-copy F-contiguous view.
-        gemm = _dgemm if dt == np.float64 else _sgemm
         for start in range(0, n, chunk):
             m = min(chunk, n - start)
-            rows = m * oh * ow
-            cb = cols[:rows]
             ob = out[start * oh * ow : start * oh * ow + rows]
             for i in range(k):
                 view = as_strided(
@@ -257,26 +277,24 @@ class _FusedConv(_Op):
                     shape=(m, oh, ow, k * c),
                     strides=(st[0], st[1] * s, c * s * item, item),
                 )
-                np.copyto(cb.reshape(m, oh, ow, k * c), view)
+                np.copyto(cols[: m * oh * ow].reshape(m, oh, ow, k * c), view)
                 if i == 0:
-                    np.matmul(cb, self.w_rows[0], out=ob)
+                    np.matmul(cols, self.w_rows[0], out=ob)
                 else:
-                    res = gemm(
-                        1.0, self.w_rows[i].T, cb.T, beta=1.0,
-                        c=ob.T, overwrite_c=1,
-                    )
-                    if not np.shares_memory(res, ob):
-                        # layout surprised the wrapper into copying;
-                        # res still holds A@B + ob, so recover it
-                        np.copyto(ob, res.T)
+                    np.matmul(cols, self.w_rows[i], out=part)
+                    ob += part
             ob += self.bias
             if self.relu:
                 np.maximum(ob, 0.0, out=ob)
-        return out.reshape(n, oh, ow, self.out_channels)
+        return out[: n * oh * ow].reshape(n, oh, ow, self.out_channels)
 
 
 class _FusedDense(_Op):
-    """``x @ w + b`` (+BN folded) (+ReLU) over ``(N, D)`` vectors."""
+    """``x @ w + b`` (+BN folded) (+ReLU) over ``(N, D)`` vectors.
+
+    Each GEMM covers :data:`GEMM_WINDOWS` rows; a batch whose size is
+    not a multiple is first copied into a padded workspace block.
+    """
 
     tag = "dense"
 
@@ -298,8 +316,20 @@ class _FusedDense(_Op):
         return {"int8": w_q, "scale": scale}
 
     def run(self, x: np.ndarray, ws: Workspace) -> np.ndarray:
-        out = ws.empty(("out", self.index), (len(x), self.w.shape[1]), x.dtype)
-        np.matmul(x, self.w, out=out)
+        n, r = len(x), GEMM_WINDOWS
+        n_pad = -(-n // r) * r
+        if n_pad != n:
+            # rows past n keep zeros or an earlier batch's rows; GEMM
+            # rows never mix, so they cost time, not bits
+            xp = ws.zeros(("pad", self.index), (n_pad, x.shape[1]), x.dtype)
+            xp[:n] = x
+            x = xp
+        out = ws.empty(("out", self.index), (n_pad, self.w.shape[1]), x.dtype)
+        for start in range(0, n_pad, r):
+            np.matmul(
+                x[start : start + r], self.w, out=out[start : start + r]
+            )
+        out = out[:n]
         out += self.bias
         if self.relu:
             np.maximum(out, 0.0, out=out)

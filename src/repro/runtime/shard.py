@@ -440,9 +440,10 @@ def merge_reports(
 
     ``reports`` must align with ``plan.shards`` (same order and window
     counts; shard provenance fields, when present, must match).  Passing
-    ``layer`` re-extracts the flagged windows' clips so the merged
-    report carries geometry even when shard reports were round-tripped
-    through JSON (which drops clips).
+    ``layer`` gives the merged report the flagged windows' clips: a live
+    shard scan's report already carries them, and only shards that were
+    replayed, reused from a manifest or round-tripped through JSON
+    (which drops clips) are re-extracted.
     """
     if len(reports) != len(plan.shards):
         raise ValueError(
@@ -461,6 +462,7 @@ def merge_reports(
     scores2d = np.zeros((plan.ny, plan.nx), dtype=np.float64)
     flagged2d = np.zeros((plan.ny, plan.nx), dtype=bool)
     conf2d = np.full((plan.ny, plan.nx), -1, dtype=np.int8)
+    carried = {}  # global window index -> clip from a live shard scan
     telemetry = Telemetry()
     for spec, rep in zip(plan.shards, reports):
         if rep.n_windows != spec.n_windows:
@@ -489,6 +491,12 @@ def merge_reports(
         own_cols = slice(spec.own_x[0], spec.own_x[1])
         scores2d[own_rows, own_cols] = local_scores[r0:r1, c0:c1]
         flagged2d[own_rows, own_cols] = local_flags[r0:r1, c0:c1]
+        ys, xs = np.nonzero(local_flags)  # row-major: flagged_windows order
+        if layer is not None and len(ys) == len(rep.flagged_windows):
+            for clip, y, x in zip(rep.flagged_windows, ys, xs):
+                if r0 <= y < r1 and c0 <= x < c1:
+                    gy, gx = spec.scan_y[0] + y, spec.scan_x[0] + x
+                    carried[int(gy * plan.nx + gx)] = clip
         if rep.confirmed is not None:
             local_conf = np.full(h * w, -1, dtype=np.int8)
             local_conf[np.flatnonzero(local_flags.ravel())] = np.asarray(
@@ -511,15 +519,16 @@ def merge_reports(
         confirmed: Optional[np.ndarray] = flat_conf.astype(bool)
     else:
         confirmed = None
+    centers = plan.centers()
     flagged_windows = []
-    if layer is not None and flagged.any():
-        centers = plan.centers()
-        flagged_windows = [
-            extract_clip(layer, centers[i], plan.window_nm, plan.core_nm)
-            for i in np.flatnonzero(flagged)
-        ]
-    else:
-        centers = plan.centers()
+    if layer is not None:
+        for i in np.flatnonzero(flagged).tolist():
+            clip = carried.get(i)
+            if clip is None:
+                clip = extract_clip(
+                    layer, centers[i], plan.window_nm, plan.core_nm
+                )
+            flagged_windows.append(clip)
     return ScanReport(
         centers=centers,
         clips=[],

@@ -122,6 +122,39 @@ class TestFloatParity:
         assert " relu" not in text
 
 
+class TestBatchInvariance:
+    """A window's logits must not depend on the batch it is scored in.
+
+    Shards, band tails and dedup residues all hand the plan different
+    batch sizes for the same windows; byte-identical chip reports need
+    every window's score to be the same bits whatever the batch.
+    """
+
+    BATCH_SIZES = (1, 2, 7, 37, 63, 64, 100)
+
+    @staticmethod
+    def _logits(plan, x, batch_size):
+        return np.concatenate([
+            np.array(plan.forward(x[i : i + batch_size]), copy=True)
+            for i in range(0, len(x), batch_size)
+        ])
+
+    @pytest.mark.parametrize("mode", ["float", "int8"])
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_logits_bit_identical_across_batch_sizes(self, arch, mode):
+        rng = np.random.default_rng(21)
+        model, shape = _build(arch, rng)
+        _randomize_bn(model, rng)
+        model.train_mode(False)
+        plan = compile_plan(model, mode=mode)
+        x = rng.normal(size=(150,) + shape)
+        ref = self._logits(plan, x, 64)
+        for b in self.BATCH_SIZES:
+            got = self._logits(plan, x, b)
+            mismatched = int(np.sum(got != ref))
+            assert mismatched == 0, (arch, mode, b, mismatched)
+
+
 class TestStats:
     def test_fixed_counter_key_set(self):
         rng = np.random.default_rng(7)

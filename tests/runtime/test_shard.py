@@ -15,6 +15,7 @@ from repro.geometry import (
     clip_fingerprint,
     region_fingerprint,
 )
+from repro.runtime import shard as shard_module  # lint: disable=no-deep-runtime-import  (counts extract_clip calls where merge_reports looks them up)
 from repro.runtime import (
     EngineConfig,
     FaultInjector,
@@ -170,6 +171,46 @@ def test_sharded_scan_merges_byte_identical(layer, region, shards, shard_workers
         assert sharded.telemetry.counter("shard_scans") > 0
 
 
+@pytest.fixture(scope="module")
+def fused_cnn():
+    """A briefly trained cnn-dct on the fused (compiled-plan) backend."""
+    from repro.nn import CNNDetector, CNNDetectorConfig
+
+    from .conftest import tiny_grating_dataset
+
+    detector = CNNDetector(CNNDetectorConfig(epochs=1, biased_epsilon=None))
+    detector.fit(tiny_grating_dataset(), rng=np.random.default_rng(0))
+    detector.set_backend("fused")
+    return detector
+
+
+def routed_block():
+    """A routed 4096 nm block: far more distinct windows than ``layer``."""
+    from repro.data import RoutedBlockConfig, synthesize_routed_block
+
+    region = Rect(0, 0, 4096, 4096)
+    layer, _ = synthesize_routed_block(
+        np.random.default_rng(5), region,
+        RoutedBlockConfig(n_marginal=2, marginal_len_nm=400),
+    )
+    return layer, region
+
+
+@pytest.mark.parametrize("shards", [4, 6])
+def test_fused_cnn_sharded_scan_is_bit_identical(fused_cnn, shards):
+    """Shards hand the compiled plan other batch sizes than the
+    monolithic scan does; every score must still be the same bits."""
+    layer, region = routed_block()
+    mono = mono_scan(fused_cnn, layer, region)
+    sharded = scan_chip(
+        layer, fused_cnn, EngineConfig.from_kwargs(shards=shards),
+        region=region,
+    )
+    assert len(np.unique(mono.scores)) > 10  # scores, not saturated flags
+    assert np.array_equal(sharded.scores, mono.scores)
+    assert canonical(sharded) == canonical(mono)
+
+
 class DensityOracle:
     """Deterministic ground-truth labeler (the oracle protocol is .label)."""
 
@@ -219,6 +260,58 @@ def _shard_reports(detector, layer, plan):
         rep.plan_digest = plan.digest
         reports.append(rep)
     return reports
+
+
+def _count_extractions(monkeypatch, *modules):
+    """Route ``extract_clip`` in ``modules`` through a call counter."""
+    real = shard_module.extract_clip
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "extract_clip", counting)
+    return calls
+
+
+def test_merge_reuses_live_clips_and_reextracts_the_rest(
+    layer, region, monkeypatch
+):
+    detector = GradedDensityDetector()
+    plan = ShardPlanner(4).plan(region)
+    live = _shard_reports(detector, layer, plan)
+    loaded = [ScanReport.from_json(r.to_json()) for r in live]
+    mono = mono_scan(detector, layer, region)
+    want = [clip_fingerprint(c) for c in mono.flagged_windows]
+    calls = _count_extractions(monkeypatch, shard_module)
+
+    merged = merge_reports(plan, live, layer=layer)
+    assert calls == []  # live shard scans carry their flagged clips
+    assert [clip_fingerprint(c) for c in merged.flagged_windows] == want
+
+    # JSON drops clips: those shards' owned flags are re-extracted
+    merged = merge_reports(plan, live[:2] + loaded[2:], layer=layer)
+    flags = merged.flagged.reshape(plan.ny, plan.nx)
+    owned_flags = sum(
+        int(flags[s.own_y[0] : s.own_y[1], s.own_x[0] : s.own_x[1]].sum())
+        for s in plan.shards[2:]
+    )
+    assert 0 < len(calls) == owned_flags < mono.n_flagged
+    assert [clip_fingerprint(c) for c in merged.flagged_windows] == want
+
+
+def test_single_shard_scan_extracts_each_flagged_clip_once(
+    fused_cnn, monkeypatch
+):
+    from repro.runtime import engine as engine_module  # lint: disable=no-deep-runtime-import  (counts the scan's own extract_clip calls)
+
+    layer, region = routed_block()
+    calls = _count_extractions(monkeypatch, shard_module, engine_module)
+    report = scan_chip(layer, fused_cnn, region=region)
+    assert report.scan_path == "raster"  # windows never became clips
+    assert len(calls) == report.n_flagged > 0
 
 
 def test_merge_rejects_misaligned_reports(layer, region):
