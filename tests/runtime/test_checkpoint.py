@@ -10,10 +10,13 @@ different scan configuration and survive a corrupt checkpoint file.
 import numpy as np
 import pytest
 
+from repro.contracts import ContractViolation
 from repro.runtime import (
     CHECKPOINT_NAME,
     Checkpointer,
     CheckpointMismatch,
+    EngineConfig,
+    FaultInjector,
     ScanEngine,
     scan_config_hash,
 )
@@ -24,6 +27,7 @@ from ._fault_doubles import (
     RasterMeanDetector,
 )
 from .conftest import DensityDetector
+from .test_raster_plane import FeatureMeanDetector
 
 # chunk_clips=4 keeps every strategy multi-chunk (the layer fixture has
 # only 13 unique patterns, and the dedup paths chunk by unique pattern)
@@ -101,6 +105,85 @@ def test_interrupted_raster_scan_resumes_byte_identical(layer, region, tmp_path)
     assert np.array_equal(report.scores, clean.scores)
     assert np.array_equal(report.flagged, clean.flagged)
     assert report.telemetry.counter("resume_hits") > 0
+
+
+#: (window source, mode) — every way the engine can cut and score windows
+SOURCE_MATRIX = [
+    ("clip", "direct"),
+    ("clip", "dedup"),
+    ("raster", "direct"),
+    ("raster", "dedup"),
+    ("plane-feature", "direct"),
+]
+
+
+class GradedFeatureMean(FeatureMeanDetector):
+    """Unsaturated scores on every path, so a misplaced replay shows.
+
+    (The fixture layer is >= 25% metal everywhere, which saturates the
+    other raster doubles at 1.0.)
+    """
+
+    name = "feature-graded"
+
+    def predict_proba_features(self, feats):
+        dc = np.asarray(feats, dtype=np.float64)[:, 0].mean(axis=(1, 2))
+        return dc / (1.0 + dc)
+
+
+class GradedRasterWindows(GradedFeatureMean):
+    plane_feature_block = None  # hides the hook: plain raster slices
+
+
+def _matrix_engine(source, mode, tmp_path=None, faults=None):
+    detector = (
+        GradedRasterWindows() if source == "raster" else GradedFeatureMean()
+    )
+    config = EngineConfig.from_kwargs(
+        dedup=mode == "dedup",
+        raster_plane=source != "clip",
+        on_invalid_score="raise",
+        checkpoint_dir=None if tmp_path is None else tmp_path / "ckpt",
+        **FAST,
+    )
+    return ScanEngine(detector, config=config, faults=faults)
+
+
+@pytest.mark.parametrize(
+    "source,mode", SOURCE_MATRIX, ids=[f"{s}-{m}" for s, m in SOURCE_MATRIX]
+)
+def test_every_window_source_resumes_byte_identical(
+    layer, region, tmp_path, source, mode
+):
+    clean = _matrix_engine(source, mode).scan(layer, region, keep_clips=True)
+    expect_path = "clip" if source == "clip" else "raster"
+    assert clean.scan_path == expect_path
+    planes = clean.telemetry.counter("feature_planes")
+    assert (planes > 0) == (source == "plane-feature")
+    assert len(np.unique(clean.scores)) > 2  # graded, not saturated
+
+    # the fourth scored chunk comes back NaN and the scan dies on it
+    interrupted = _matrix_engine(
+        source, mode, tmp_path, faults=FaultInjector("nan_score@3")
+    )
+    with pytest.raises(ContractViolation):
+        interrupted.scan(layer, region, keep_clips=True)
+    assert _ckpt_path(tmp_path).exists()
+
+    report = _matrix_engine(source, mode, tmp_path).scan(
+        layer, region, keep_clips=True, resume=True
+    )
+    assert report.scan_path == expect_path
+    assert report.centers == clean.centers
+    assert report.scores.tobytes() == clean.scores.tobytes()
+    assert report.flagged.tobytes() == clean.flagged.tobytes()
+    assert report.clips == clean.clips
+    assert report.flagged_clips() == clean.flagged_clips()
+    t = report.telemetry
+    assert t.counter("checkpoint_resumed") == 1
+    assert t.counter("resume_hits") > 0
+    assert t.counter("scored") < clean.telemetry.counter("scored")
+    assert not _ckpt_path(tmp_path).exists()
 
 
 def test_completed_scan_checkpoints_then_cleans_up(layer, region, tmp_path):
