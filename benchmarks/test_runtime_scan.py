@@ -59,7 +59,7 @@ def test_runtime_scan_dedup_and_cascade(benchmark, suite, out_dir):
     from repro.bench import write_table
     from repro.core import scan_layer
     from repro.core.registry import create
-    from repro.runtime import CascadeDetector, ScanEngine
+    from repro.runtime import CascadeDetector, EngineConfig, ScanEngine
 
     b1 = [b for b in suite if b.name == "B1"][0]
     rng = np.random.default_rng(17)
@@ -80,14 +80,15 @@ def test_runtime_scan_dedup_and_cascade(benchmark, suite, out_dir):
         # pinned to the per-clip reference path: this bench documents the
         # dedup/cascade savings, and its byte-equality assertions are part
         # of the clip path's contract
-        reports["dedup"] = ScanEngine(cnn, raster_plane=False).scan(
+        clip_path = EngineConfig.from_kwargs(raster_plane=False)
+        reports["dedup"] = ScanEngine(cnn, config=clip_path).scan(
             layer, region
         )
 
         cascade = CascadeDetector(
             primary=cnn, matcher=matcher, prefilter=prefilter
         )
-        reports["cascade"] = ScanEngine(cascade, raster_plane=False).scan(
+        reports["cascade"] = ScanEngine(cascade, config=clip_path).scan(
             layer, region
         )
         return reports
@@ -169,7 +170,7 @@ def test_raster_plane_speedup(benchmark, suite, out_dir):
     """
     from repro.bench import hardware, write_table
     from repro.core.registry import create
-    from repro.runtime import ScanEngine
+    from repro.runtime import EngineConfig, ScanEngine
 
     b1 = [b for b in suite if b.name == "B1"][0]
     rng = np.random.default_rng(17)
@@ -201,7 +202,10 @@ def test_raster_plane_speedup(benchmark, suite, out_dir):
         clip_reports = {}
         for name, det in detectors.items():
             clip_reports[name] = ScanEngine(
-                det, dedup=False, raster_plane=False
+                det,
+                config=EngineConfig.from_kwargs(
+                    dedup=False, raster_plane=False
+                ),
             ).scan(layer, region, keep_clips=False)
         # one engine per arm, reused across rounds: a fresh engine would
         # refault its plane-batch buffers (~10MB) every scan, a fixed
@@ -209,9 +213,12 @@ def test_raster_plane_speedup(benchmark, suite, out_dir):
         # layers baseline
         engines = {
             (name, backend): ScanEngine(
-                detectors[name], dedup=False, raster_plane=True,
-                infer_backend=(
-                    None if name == "logistic-density" else backend
+                detectors[name],
+                config=EngineConfig.from_kwargs(
+                    dedup=False, raster_plane=True,
+                    infer_backend=(
+                        None if name == "logistic-density" else backend
+                    ),
                 ),
             )
             for name, backend in ARMS

@@ -19,8 +19,8 @@ than fatal, and :mod:`repro.runtime.faults` provides the deterministic
 injection harness that proves all of it under test.
 
 Scans are observable end to end: configuration arrives as one grouped,
-frozen :class:`EngineConfig` (``ScanEngine(detector, config=...)``; the
-flat legacy kwargs survive behind a ``DeprecationWarning`` shim),
+frozen :class:`EngineConfig` (``ScanEngine(detector, config=...)``;
+:meth:`EngineConfig.from_kwargs` builds one from the flat option names),
 :meth:`ScanEngine.start` runs the sweep on a background thread behind a
 :class:`ScanSession` handle, and :class:`ObservabilityConfig` turns on
 the three sinks of :mod:`repro.runtime.trace` /

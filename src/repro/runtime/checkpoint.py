@@ -9,7 +9,7 @@ values.  :class:`Checkpointer` persists exactly that, atomically
 <repro.runtime.engine.ScanEngine.scan>` replays a saved prefix so the
 continued scan produces a report byte-identical to an uninterrupted run.
 
-Two progress models, matching the engine's scan strategies:
+Two progress models, matching the engine's two scan modes:
 
 * **direct** (``dedup=False``) — the committed per-chunk score arrays,
   concatenated, plus the chunk sizes.  Resume replays the stored prefix

@@ -15,10 +15,11 @@ and safe to share between engines:
 * :class:`ChipScanConfig` — full-chip shard fan-out, instance-level
   dedup, and incremental re-scan (:func:`repro.runtime.scan_chip`).
 
-Every legacy flat kwarg maps to exactly one grouped field
-(:data:`LEGACY_KWARGS`); :meth:`EngineConfig.from_kwargs` builds a config
-from the flat names (the supported spelling), while passing them straight
-to ``ScanEngine(...)`` still works through a ``DeprecationWarning`` shim.
+Every flat option name of the pre-config ``ScanEngine`` maps to exactly
+one grouped field (:data:`LEGACY_KWARGS`); :meth:`EngineConfig.from_kwargs`
+builds a config from those names, and the CLI, the service wire format and
+``scan_layer`` all build their configs through it.  ``ScanEngine`` and
+``scan_chip`` take only ``config=`` — a flat keyword is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -236,17 +237,13 @@ class EngineConfig:
 
     @classmethod
     def from_kwargs(cls, **kwargs) -> "EngineConfig":
-        """Build a config from flat legacy kwarg names.
+        """Build a config from the flat option names.
 
-        ``EngineConfig.from_kwargs(workers=4, checkpoint_dir="ckpt")`` is
-        the supported one-liner for callers migrating off the flat
-        ``ScanEngine`` signature; unknown names raise ``TypeError`` with
-        the offending keys.
+        ``EngineConfig.from_kwargs(workers=4, checkpoint_dir="ckpt")`` sets
+        ``batch.workers`` and ``checkpoint.dir`` and leaves every other
+        field at its default; unknown names raise ``TypeError`` with the
+        offending keys.  :data:`LEGACY_KWARGS` is the name -> field table.
         """
-        return cls().replace_kwargs(**kwargs)
-
-    def replace_kwargs(self, **kwargs) -> "EngineConfig":
-        """A copy of this config with flat legacy kwargs applied."""
         unknown = sorted(set(kwargs) - set(LEGACY_KWARGS))
         if unknown:
             raise TypeError(
@@ -257,21 +254,18 @@ class EngineConfig:
         for name, value in kwargs.items():
             group, field_name = LEGACY_KWARGS[name]
             by_group.setdefault(group, {})[field_name] = value
-        updates = {
-            group: replace(getattr(self, group), **changes)
-            for group, changes in by_group.items()
-        }
-        return replace(self, **updates)
-
-    def flat_items(self) -> Dict[str, object]:
-        """The config flattened back to ``legacy-kwarg -> value`` pairs."""
-        return {
-            name: getattr(getattr(self, group), field_name)
-            for name, (group, field_name) in LEGACY_KWARGS.items()
-        }
+        default = cls()
+        return replace(
+            default,
+            **{
+                group: replace(getattr(default, group), **changes)
+                for group, changes in by_group.items()
+            },
+        )
 
 
-#: legacy flat ``ScanEngine`` kwarg -> (sub-config attribute, field name)
+#: flat option name (the pre-``EngineConfig`` ``ScanEngine`` keyword) ->
+#: (sub-config attribute, field name); read by :meth:`EngineConfig.from_kwargs`
 LEGACY_KWARGS: Dict[str, Tuple[str, str]] = {
     "workers": ("batch", "workers"),
     "chunk_clips": ("batch", "chunk_clips"),

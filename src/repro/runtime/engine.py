@@ -38,17 +38,33 @@ chip-scale workload the runtime figures motivate:
   scan ``resume=True`` to a byte-identical report, corrupt persisted
   caches are quarantined instead of fatal, and the whole stack is
   exercisable via deterministic :mod:`~repro.runtime.faults` injection.
+
+Every scan is one pipeline: a window source (clip windows, slices of a
+raster band, or slices of a band's feature tensor) yields chunks in
+global row-major order, and one runner either streams them through the
+pool (no cache) or fingerprints every window, scores one exemplar per
+pattern and assembles the scores (cache).  Checkpoint, kept-clip,
+telemetry and span code lives in the runner, once for every source.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -68,7 +84,7 @@ from ..geometry.rect import Rect
 from .cache import ScoreCache
 from .cascade import CascadeDetector, CascadeStats
 from .checkpoint import CHECKPOINT_NAME, Checkpointer, scan_config_hash
-from .config import EngineConfig, LEGACY_KWARGS
+from .config import EngineConfig
 from .faults import FaultInjector
 from .pool import WorkerPool
 from .telemetry import Telemetry
@@ -96,7 +112,7 @@ class ScanReport(ScanResult):
     n_scored: int = 0
     cache_hits: int = 0
     elapsed_s: float = 0.0
-    #: which scan strategy produced the scores: "clip" or "raster"
+    #: which window source produced the scores: "clip" or "raster"
     scan_path: str = "clip"
     #: shard provenance (schema 2): the shard's index within its plan,
     #: or None for a monolithic / merged chip report
@@ -262,6 +278,24 @@ def _apply_infer_backend(detector, backend: str) -> bool:
     return applied
 
 
+def detector_tag(detector, backend: Optional[str] = None) -> str:
+    """Whose scores these are: the detector name plus its backends.
+
+    Every backend-aware (sub-)detector appends the inference backend it
+    scores with — ``backend`` when a scan overrides it, else its own.
+    ``fused-int8`` scores differ from ``fused`` ones, so score caches,
+    checkpoints and chip manifests keyed on this tag refuse to cross
+    backends instead of replaying another backend's scores.
+    """
+    backends = [
+        backend or det.backend
+        for det in _iter_infer_detectors(detector)
+        if hasattr(det, "set_backend")
+    ]
+    name = getattr(detector, "name", type(detector).__name__)
+    return "@".join([name, *backends])
+
+
 def _sum_infer_stats(detector) -> dict:
     """Aggregate ``infer_*`` counters across the detector tree."""
     totals: dict = {}
@@ -282,6 +316,9 @@ def _chunked(items: Iterable, size: int) -> Iterator[list]:
         yield chunk
 
 
+Centers = List[Tuple[int, int]]
+
+
 def _iter_raster_bands(
     region: Rect,
     window_nm: int,
@@ -289,7 +326,7 @@ def _iter_raster_bands(
     pixel_nm: int,
     band_rows: int,
     max_plane_pixels: int,
-) -> Iterator[Tuple[List[Tuple[int, int]], Rect]]:
+) -> Iterator[Tuple[Centers, Rect]]:
     """Group the scan grid into shared-raster bands.
 
     Yields ``(centers, band_rect)`` pairs where ``band_rect`` is the
@@ -337,6 +374,31 @@ def _iter_raster_bands(
             yield [(x, y) for x in x_seg], band_rect(x_seg, [y])
 
 
+@dataclass
+class _WindowSource:
+    """One scan's windows, and how windows of their kind are scored.
+
+    ``chunks`` yields ``(chunk_centers, materialize)`` pairs in global
+    row-major order.  ``materialize()`` cuts the chunk's windows — a
+    clip list, an ``(n, H, W)`` slice batch of a raster band, or an
+    ``(n, C, h, w)`` slice batch of a band's feature tensor — and is
+    called at most once per chunk, before the next pair is pulled; a
+    resumed chunk is never cut.  The rest goes with the window kind:
+
+    * ``map_scores`` — the :class:`WorkerPool` entry point for batches,
+    * ``fingerprint`` — a window's dedup key,
+    * ``pack`` — a list of exemplar windows -> one pool batch,
+    * ``clips`` — ``(chunk_centers, windows or None)`` -> the chunk's
+      :class:`Clip` objects for ``keep_clips`` (clip windows are reused).
+    """
+
+    chunks: Iterator[Tuple[Centers, Callable[[], Sequence]]]
+    map_scores: Callable[[Iterable], Iterator[np.ndarray]]
+    fingerprint: Callable[..., str]
+    pack: Callable[[list], object]
+    clips: Callable[[Centers, Optional[Sequence]], List[Clip]]
+
+
 class ScanEngine:
     """Streaming, deduplicating, multi-process full-chip scanner.
 
@@ -355,7 +417,7 @@ class ScanEngine:
         (``config.observability``).  ``None`` means all defaults.  Use
         :meth:`EngineConfig.from_kwargs
         <repro.runtime.config.EngineConfig.from_kwargs>` to build one
-        from the historical flat names.
+        from the flat option names.
     cache:
         An explicit :class:`ScoreCache` to dedup against (overrides
         ``config.batch.cache_dir``).  Without either, a scan-local cache
@@ -367,13 +429,6 @@ class ScanEngine:
         :class:`~repro.runtime.faults.FaultInjector`, a
         :class:`~repro.runtime.faults.FaultPolicy`, or a spec string
         (see :mod:`repro.runtime.faults` for the grammar).
-    **legacy_kwargs:
-        The pre-``EngineConfig`` flat knobs (``workers=...``,
-        ``chunk_timeout_s=...``, ...) keep working through a
-        compatibility shim that emits :class:`DeprecationWarning`;
-        mixing them with ``config=`` is a ``TypeError``.  See
-        :data:`~repro.runtime.config.LEGACY_KWARGS` for the full
-        old-name → new-field mapping.
     """
 
     def __init__(
@@ -383,85 +438,43 @@ class ScanEngine:
         *,
         cache: Optional[ScoreCache] = None,
         faults=None,
-        **legacy_kwargs,
     ) -> None:
-        if legacy_kwargs:
-            unknown = sorted(set(legacy_kwargs) - set(LEGACY_KWARGS))
-            if unknown:
-                raise TypeError(
-                    f"unknown ScanEngine option(s) {unknown}; "
-                    f"valid flat names: {sorted(LEGACY_KWARGS)}"
-                )
-            if config is not None:
-                raise TypeError(
-                    "pass either config=EngineConfig(...) or flat legacy "
-                    f"kwargs {sorted(legacy_kwargs)}, not both"
-                )
-            warnings.warn(
-                "flat ScanEngine kwargs are deprecated; pass "
-                "config=EngineConfig.from_kwargs("
-                + ", ".join(f"{k}=..." for k in sorted(legacy_kwargs))
-                + ") instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = EngineConfig.from_kwargs(**legacy_kwargs)
-        elif config is None:
+        if config is None:
             config = EngineConfig()
         self.config = config
         self.detector = detector
-        self.infer_backend = config.batch.infer_backend
-        if self.infer_backend is not None:
+        batch = config.batch
+        backend = batch.infer_backend
+        if backend is not None:
             # applied before any worker pickling so spawned workers
             # inherit the backend choice (plans recompile per process)
-            applied = _apply_infer_backend(detector, self.infer_backend)
-            if not applied and self.infer_backend != "layers":
+            applied = _apply_infer_backend(detector, backend)
+            if not applied and backend != "layers":
                 raise TypeError(
-                    f"infer_backend={self.infer_backend!r} requested but "
+                    f"infer_backend={backend!r} requested but "
                     f"detector {getattr(detector, 'name', type(detector).__name__)!r} "
                     "(and none of its cascade stages) supports set_backend"
                 )
-        # flat attribute mirrors: the pre-config public surface, still
-        # read by downstream code and kept as plain back-compat aliases
-        self.workers = config.batch.workers
-        self.chunk_clips = config.batch.chunk_clips
-        self.dedup = config.batch.dedup
-        self.mp_context = config.batch.mp_context
-        self.raster_plane = config.raster.raster_plane
-        self.band_rows = config.raster.band_rows
-        self.max_plane_pixels = config.raster.max_plane_pixels
-        self.chunk_timeout_s = config.supervision.chunk_timeout_s
-        self.max_chunk_retries = config.supervision.max_chunk_retries
-        self.retry_backoff_s = config.supervision.retry_backoff_s
-        self.max_pool_rebuilds = config.supervision.max_pool_rebuilds
-        self.degrade_after_failures = config.supervision.degrade_after_failures
-        self.on_invalid_score = config.supervision.on_invalid_score
-        self.checkpoint_dir = (
-            Path(config.checkpoint.dir)
-            if config.checkpoint.dir is not None
-            else None
-        )
-        self.checkpoint_every_chunks = config.checkpoint.every_chunks
         if faults is not None and not isinstance(faults, FaultInjector):
             faults = FaultInjector(faults)
         self.faults: Optional[FaultInjector] = faults
         self._persist_path = None
-        # persistent (H, W)-keyed window-batch buffers for the raster
-        # direct path (in-process pool only — see _iter_plane_chunks)
+        # persistent (item-shape)-keyed window-batch buffers for direct
+        # raster batches scored in-process (see _raster_chunks)
         self._plane_batch_bufs: Dict[Tuple[int, ...], np.ndarray] = {}
-        tag = getattr(detector, "name", type(detector).__name__)
+        tag = detector_tag(detector)
         if cache is not None:
             self.cache: Optional[ScoreCache] = cache
-        elif config.batch.cache_dir is not None:
+        elif batch.cache_dir is not None:
             self.cache = ScoreCache.open_dir(
-                config.batch.cache_dir,
+                batch.cache_dir,
                 detector_tag=tag,
-                max_entries=config.batch.max_cache_entries,
+                max_entries=batch.max_cache_entries,
             )
-            self._persist_path = ScoreCache.dir_path(config.batch.cache_dir)
-        elif config.batch.dedup:
+            self._persist_path = ScoreCache.dir_path(batch.cache_dir)
+        elif batch.dedup:
             self.cache = ScoreCache(
-                max_entries=config.batch.max_cache_entries, detector_tag=tag
+                max_entries=batch.max_cache_entries, detector_tag=tag
             )
         else:
             self.cache = None
@@ -581,7 +594,8 @@ class ScanEngine:
             )
         else:
             skip_before = None
-        centers_iter = iter_tile_centers(region, window_nm, step)
+        batch = self.config.batch
+        sup = self.config.supervision
         detach = self._attach_tracer(tracer)
         try:
             with tracer.span(
@@ -589,7 +603,7 @@ class ScanEngine:
                 kind="scan",
                 scan_path=scan_path,
                 windows=n_windows,
-                workers=self.workers,
+                workers=batch.workers,
                 dedup=self.cache is not None,
             ) as scan_span:
                 ckpt = self._make_checkpointer(
@@ -598,39 +612,25 @@ class ScanEngine:
                 )
                 with WorkerPool(
                     self.detector,
-                    workers=self.workers,
-                    mp_context=self.mp_context,
-                    chunk_timeout_s=self.chunk_timeout_s,
-                    max_chunk_retries=self.max_chunk_retries,
-                    retry_backoff_s=self.retry_backoff_s,
-                    max_pool_rebuilds=self.max_pool_rebuilds,
-                    degrade_after_failures=self.degrade_after_failures,
-                    on_invalid_score=self.on_invalid_score,
+                    workers=batch.workers,
+                    mp_context=batch.mp_context,
+                    chunk_timeout_s=sup.chunk_timeout_s,
+                    max_chunk_retries=sup.max_chunk_retries,
+                    retry_backoff_s=sup.retry_backoff_s,
+                    max_pool_rebuilds=sup.max_pool_rebuilds,
+                    degrade_after_failures=sup.degrade_after_failures,
+                    on_invalid_score=sup.on_invalid_score,
                     telemetry=telemetry,
                     faults=self.faults,
                     tracer=tracer,
                 ) as pool:
-                    if scan_path == "raster":
-                        if self.cache is None:
-                            centers, clips, scores = self._scan_raster_direct(
-                                layer, region, window_nm, core_nm, step, pool,
-                                telemetry, keep_clips, ckpt, obs,
-                            )
-                        else:
-                            centers, clips, scores = self._scan_raster_dedup(
-                                layer, region, window_nm, core_nm, step, pool,
-                                telemetry, keep_clips, ckpt, obs,
-                            )
-                    elif self.cache is None:
-                        centers, clips, scores = self._scan_direct(
-                            layer, centers_iter, window_nm, core_nm, pool,
-                            telemetry, keep_clips, ckpt, obs,
-                        )
-                    else:
-                        centers, clips, scores = self._scan_dedup(
-                            layer, centers_iter, window_nm, core_nm, pool,
-                            telemetry, keep_clips, ckpt, obs,
-                        )
+                    source = self._window_source(
+                        layer, region, window_nm, core_nm, step, scan_path,
+                        pool, telemetry,
+                    )
+                    centers, clips, scores = self._run(
+                        source, keep_clips, ckpt, obs, telemetry
+                    )
 
                 contracts.require(
                     "(n,):float64",
@@ -747,7 +747,8 @@ class ScanEngine:
         enumeration or the meaning of a stored score; a resume against a
         checkpoint whose hash differs is refused rather than replayed.
         """
-        if self.checkpoint_dir is None:
+        ckpt_config = self.config.checkpoint
+        if ckpt_config.dir is None:
             if resume:
                 raise ValueError(
                     "resume=True requires the engine to be constructed "
@@ -755,7 +756,7 @@ class ScanEngine:
                 )
             return None
         mode = "direct" if self.cache is None else "dedup"
-        tag = getattr(self.detector, "name", type(self.detector).__name__)
+        tag = detector_tag(self.detector)
         if layer.polygons:
             bbox = layer.bbox
             layer_sig = [
@@ -771,20 +772,21 @@ class ScanEngine:
             step_nm=step,
             scan_path=scan_path,
             mode=mode,
-            chunk_clips=self.chunk_clips,
-            band_rows=self.band_rows,
-            max_plane_pixels=self.max_plane_pixels,
+            chunk_clips=self.config.batch.chunk_clips,
+            band_rows=self.config.raster.band_rows,
+            max_plane_pixels=self.config.raster.max_plane_pixels,
             detector=tag,
             threshold=float(self.detector.threshold),
             layer=layer_sig,
         )
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        ckpt_dir = Path(ckpt_config.dir)
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
         ckpt = Checkpointer(
-            self.checkpoint_dir / CHECKPOINT_NAME,
+            ckpt_dir / CHECKPOINT_NAME,
             config_hash=config_hash,
             detector_tag=tag,
             mode=mode,
-            every_chunks=self.checkpoint_every_chunks,
+            every_chunks=ckpt_config.every_chunks,
             telemetry=telemetry,
             faults=self.faults,
             tracer=tracer,
@@ -795,7 +797,8 @@ class ScanEngine:
 
     def _resolve_scan_path(self, window_nm: int, step: int) -> str:
         """Pick "raster" or "clip" per the ``raster_plane`` policy."""
-        if self.raster_plane is False:
+        raster_plane = self.config.raster.raster_plane
+        if raster_plane is False:
             return "clip"
         reason = None
         if not supports_raster_scan(self.detector):
@@ -812,177 +815,67 @@ class ScanEngine:
                 )
         if reason is None:
             return "raster"
-        if self.raster_plane is True:
+        if raster_plane is True:
             raise ValueError(f"raster_plane=True but {reason}")
         return "clip"
 
     # ------------------------------------------------------------------
-    # scan strategies
+    # window sources
     # ------------------------------------------------------------------
-    def _scan_direct(
-        self, layer, centers_iter, window_nm, core_nm, pool, telemetry,
-        keep_clips, ckpt, obs,
-    ) -> Tuple[List[Tuple[int, int]], List[Clip], np.ndarray]:
-        """No-dedup path: stream chunks straight through the pool.
+    def _window_source(
+        self, layer, region, window_nm, core_nm, step, scan_path, pool,
+        telemetry,
+    ) -> _WindowSource:
+        """Pick the scan's window kind: clips, raster slices or features.
 
-        With a checkpoint loaded for resume, the stored score prefix is
-        replayed chunk-for-chunk (skipping extraction unless clips are
-        kept) and only the remainder is dispatched; every newly scored
-        chunk is committed to the checkpointer in order.
+        The clip path cuts a :class:`Clip` per window.  The raster path
+        slices windows out of shared band planes; without a cache, and
+        when the detector can share them, it slices a band's feature
+        tensor instead (the dedup mode fingerprints raw rasters).
         """
-        centers: List[Tuple[int, int]] = []
-        clips: List[Clip] = []
-        prefix_parts: List[np.ndarray] = []
+        chunk = self.config.batch.chunk_clips
 
-        def chunks() -> Iterator[List[Clip]]:
-            for chunk_centers in _chunked(centers_iter, self.chunk_clips):
-                if ckpt is not None:
-                    part = ckpt.next_resumed_chunk(len(chunk_centers))
-                    if part is not None:
-                        prefix_parts.append(part)
-                        centers.extend(chunk_centers)
-                        if keep_clips:
-                            with telemetry.timer("extract"):
-                                clips.extend(
-                                    extract_clip(layer, c, window_nm, core_nm)
-                                    for c in chunk_centers
-                                )
-                        telemetry.count("windows", len(chunk_centers))
-                        telemetry.count("resume_hits", len(chunk_centers))
-                        obs.tick("resume")
-                        continue
-                with telemetry.timer("extract"):
-                    chunk = [
-                        extract_clip(layer, c, window_nm, core_nm)
-                        for c in chunk_centers
-                    ]
-                centers.extend(chunk_centers)
-                if keep_clips:
-                    clips.extend(chunk)
-                telemetry.count("windows", len(chunk))
-                telemetry.count("chunks")
-                telemetry.observe("chunk_clips", len(chunk))
-                yield chunk
+        def extract(chunk_centers: Centers) -> List[Clip]:
+            with telemetry.timer("extract"):
+                return [
+                    extract_clip(layer, c, window_nm, core_nm)
+                    for c in chunk_centers
+                ]
 
-        parts: List[np.ndarray] = []
-        with obs.tracer.span("score_stream", kind="phase"):
-            with telemetry.timer("score"):
-                for part in pool.map_scores(chunks()):
-                    parts.append(part)
-                    telemetry.count("scored", len(part))
-                    if ckpt is not None:
-                        ckpt.record_chunk(part)
-                    obs.tick("score")
-        parts = prefix_parts + parts
-        scores = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-        )
-        return centers, clips, scores
-
-    def _apply_resumed_fp_scores(
-        self, ckpt, pending, score_by_fp, telemetry
-    ) -> None:
-        """Resolve pending fingerprints from a resumed checkpoint.
-
-        Runs between the fingerprint and scoring phases of the dedup
-        strategies: any pattern the interrupted scan already scored is
-        moved straight into the score map (and the cache), so only the
-        genuinely unscored remainder reaches the pool.
-        """
-        if ckpt is None:
-            return
-        cache = self.cache
-        for fp, score in ckpt.resumed_fp_scores().items():
-            if fp in pending:
-                del pending[fp]
-                score_by_fp[fp] = score
-                cache.put(fp, score)
-                telemetry.count("resume_hits")
-
-    def _scan_dedup(
-        self, layer, centers_iter, window_nm, core_nm, pool, telemetry,
-        keep_clips, ckpt, obs,
-    ) -> Tuple[List[Tuple[int, int]], List[Clip], np.ndarray]:
-        """Dedup path: fingerprint every window, score each pattern once.
-
-        Phase 1 streams and fingerprints tiles, collecting one exemplar
-        clip per unseen pattern; phase 2 scores the exemplars through the
-        pool; phase 3 assembles the per-window score array.  Splitting
-        the phases keeps cross-chunk dedup exact even when the pool
-        pipelines chunks concurrently.
-        """
-        cache = self.cache
-        assert cache is not None
-        centers: List[Tuple[int, int]] = []
-        clips: List[Clip] = []
-        fingerprints: List[str] = []
-        score_by_fp: Dict[str, float] = {}
-        pending: Dict[str, Clip] = {}
-
-        with obs.tracer.span("fingerprint", kind="phase") as fp_span:
-            for chunk_centers in _chunked(centers_iter, self.chunk_clips):
-                with telemetry.timer("extract"):
-                    chunk = [
-                        extract_clip(layer, c, window_nm, core_nm)
-                        for c in chunk_centers
-                    ]
-                with telemetry.timer("dedup"):
-                    for clip in chunk:
-                        fp = clip_fingerprint(clip)
-                        fingerprints.append(fp)
-                        if fp in score_by_fp or fp in pending:
-                            telemetry.count("dedup_hits")
-                            continue
-                        cached = cache.get(fp)
-                        if cached is not None:
-                            score_by_fp[fp] = cached
-                            telemetry.count("cache_hits")
-                        else:
-                            pending[fp] = clip
-                centers.extend(chunk_centers)
-                if keep_clips:
-                    clips.extend(chunk)
-                telemetry.count("windows", len(chunk))
-                telemetry.count("chunks")
-                telemetry.observe("chunk_clips", len(chunk))
-                obs.tick("fingerprint")
-            self._apply_resumed_fp_scores(
-                ckpt, pending, score_by_fp, telemetry
+        if scan_path == "clip":
+            centers = iter_tile_centers(region, window_nm, step)
+            return _WindowSource(
+                chunks=(
+                    (cc, partial(extract, cc))
+                    for cc in _chunked(centers, chunk)
+                ),
+                map_scores=pool.map_scores,
+                fingerprint=clip_fingerprint,
+                pack=list,
+                clips=lambda cc, windows: (
+                    extract(cc) if windows is None else windows
+                ),
             )
-            fp_span.set(unique=len(pending) + len(score_by_fp))
+        direct = self.cache is None
+        block = self._plane_feature_block(window_nm, step) if direct else None
+        return _WindowSource(
+            # the in-process pool scores each direct batch before pulling
+            # the next, so those batches may share one buffer; a process
+            # pool pickles batches ahead, and dedup keeps exemplars
+            chunks=self._raster_chunks(
+                layer, region, window_nm, step, telemetry, block,
+                reuse=direct and pool.workers == 1,
+            ),
+            map_scores=(
+                pool.map_scores_rasters
+                if block is None
+                else pool.map_scores_features
+            ),
+            fingerprint=raster_fingerprint,
+            pack=np.stack,
+            clips=lambda cc, windows: extract(cc),
+        )
 
-        unique_fps = list(pending)
-        unique_clips = list(pending.values())
-        with obs.tracer.span("score", kind="phase"):
-            with telemetry.timer("score"):
-                fp_chunks = [
-                    unique_fps[i : i + self.chunk_clips]
-                    for i in range(0, len(unique_fps), self.chunk_clips)
-                ]
-                clip_chunks = [
-                    unique_clips[i : i + self.chunk_clips]
-                    for i in range(0, len(unique_clips), self.chunk_clips)
-                ]
-                for fps, part in zip(fp_chunks, pool.map_scores(clip_chunks)):
-                    for fp, score in zip(fps, part):
-                        value = float(score)
-                        score_by_fp[fp] = value
-                        cache.put(fp, value)
-                    telemetry.count("scored", len(part))
-                    if ckpt is not None:
-                        ckpt.record_fp_chunk(fps, part)
-                    obs.tick("score")
-
-        with obs.tracer.span("assemble", kind="phase"):
-            with telemetry.timer("assemble"):
-                scores = np.array(
-                    [score_by_fp[fp] for fp in fingerprints], dtype=np.float64
-                )
-        return centers, clips, scores
-
-    # ------------------------------------------------------------------
-    # raster-plane scan strategies
-    # ------------------------------------------------------------------
     def _plane_feature_block(
         self, window_nm: int, step: int
     ) -> Optional[int]:
@@ -1013,185 +906,160 @@ class ScanEngine:
             return None
         return int(block)
 
-    def _iter_plane_chunks(
-        self, layer, region, window_nm, core_nm, step, telemetry, keep_clips,
-        centers, clips, obs, ckpt=None, prefix_parts=None,
-        reuse_batches=False, feature_block=None,
-    ) -> Iterator[np.ndarray]:
-        """Rasterize band planes and yield per-chunk window batches.
+    def _raster_chunks(
+        self, layer, region, window_nm, step, telemetry, feature_block,
+        reuse,
+    ) -> Iterator[Tuple[Centers, Callable[[], np.ndarray]]]:
+        """Band-plane window chunks: paint each band once, slice windows.
 
-        Shared front half of both raster strategies: each band is painted
-        once, each member window is sliced out of the plane, and slices
-        are stacked (copied — the plane is recycled per band) into
-        chunk-sized batches.  Appends centers/clips as a side effect so
-        callers see them in the exact order batches are yielded.
+        Each band is rasterized once and every member window is a
+        pixel-aligned slice of it.  With ``feature_block`` set (see
+        :meth:`_plane_feature_block`) the band is feature-transformed
+        once too and windows are ``(C, h, w)`` slices of that tensor —
+        at the survey geometry windows overlap ~9x, so the per-window
+        transform cost drops by the overlap factor.
 
-        With ``feature_block`` set (see :meth:`_plane_feature_block`)
-        the band plane is feature-transformed *once* and the yielded
-        batches are ``(n, C, h, w)`` feature slices instead of
-        ``(n, H, W)`` raster windows — at the survey geometry windows
-        overlap ~9x, so the per-window transform cost drops by the
-        overlap factor and the per-window copy shrinks from raster
-        pixels to kept coefficients.
-
-        When ``prefix_parts`` is given (raster *direct* resume — the
-        dedup path resumes at the fingerprint level instead), chunks
-        covered by the checkpoint prefix skip slicing entirely and their
-        stored scores are appended to ``prefix_parts``.
-
-        ``reuse_batches=True`` fills a persistent engine-owned buffer
-        instead of allocating a fresh stack per chunk (a chunk of 96x96
-        float64 windows is ~10MB, and faulting fresh pages in every
-        chunk costs real per-window time).  Yielded batches are then
-        invalidated by the next iteration, so it is only safe when the
-        consumer fully drains each batch before advancing — true for
-        the in-process (``workers == 1``) score loop, NOT for a
-        multiprocess pool that pickles batches ahead, and not for the
-        dedup path, which retains window exemplars across chunks.
+        Slices are copied into a chunk batch (the plane is dropped after
+        its band).  ``reuse=True`` copies into a persistent engine-owned
+        buffer instead of a fresh stack (a chunk of 96x96 float64
+        windows is ~10MB, and faulting in fresh pages every chunk costs
+        real per-window time); a batch is then overwritten by the next
+        one, so only a consumer that drains each batch before pulling
+        the next may ask for it.
         """
+        chunk = self.config.batch.chunk_clips
         pixel = self.detector.raster_pixel_nm
+        pitch = pixel * (feature_block or 1)
+        size = window_nm // pitch
         half = window_nm // 2
+
+        def cut(grid, box: Rect, chunk_centers: Centers) -> np.ndarray:
+            with telemetry.timer("slice"):
+                views = []
+                for cx, cy in chunk_centers:
+                    gy = (cy - half - box.y1) // pitch
+                    gx = (cx - half - box.x1) // pitch
+                    views.append(grid[..., gy : gy + size, gx : gx + size])
+                if not reuse:
+                    return np.stack(views)
+                item = views[0].shape
+                buf = self._plane_batch_bufs.get(item)
+                if buf is None or len(buf) < len(views):
+                    buf = np.empty(
+                        (max(len(views), chunk), *item), dtype=views[0].dtype
+                    )
+                    self._plane_batch_bufs[item] = buf
+                batch = buf[: len(views)]
+                for j, view in enumerate(views):
+                    np.copyto(batch[j], view)
+                return batch
+
+        raster = self.config.raster
         bands = _iter_raster_bands(
-            region, window_nm, step, pixel, self.band_rows,
-            self.max_plane_pixels,
+            region, window_nm, step, pixel, raster.band_rows,
+            raster.max_plane_pixels,
         )
-        for band_centers, band_box in bands:
+        for band_centers, box in bands:
             with telemetry.timer("rasterize"):
-                plane = rasterize_region(layer, band_box, pixel)
+                grid = rasterize_region(layer, box, pixel).grid
             telemetry.count("raster_bands")
-            feats = None
             if feature_block is not None:
                 with telemetry.timer("features"):
-                    feats = self.detector.plane_feature_tensor(plane.grid)
+                    grid = self.detector.plane_feature_tensor(grid)
                 telemetry.count("feature_planes")
-                fwin = window_nm // (feature_block * pixel)
-            for chunk_centers in _chunked(iter(band_centers), self.chunk_clips):
-                if ckpt is not None and prefix_parts is not None:
-                    part = ckpt.next_resumed_chunk(len(chunk_centers))
-                    if part is not None:
-                        prefix_parts.append(part)
-                        centers.extend(chunk_centers)
-                        if keep_clips:
-                            with telemetry.timer("extract"):
-                                clips.extend(
-                                    extract_clip(layer, c, window_nm, core_nm)
-                                    for c in chunk_centers
-                                )
-                        telemetry.count("windows", len(chunk_centers))
-                        telemetry.count("resume_hits", len(chunk_centers))
-                        obs.tick("resume")
-                        continue
-                with telemetry.timer("slice"):
-                    if feats is not None:
-                        fpitch = pixel * feature_block
-                        views = []
-                        for cx, cy in chunk_centers:
-                            gy = (cy - half - band_box.y1) // fpitch
-                            gx = (cx - half - band_box.x1) // fpitch
-                            views.append(
-                                feats[:, gy:gy + fwin, gx:gx + fwin]
-                            )
-                    else:
-                        views = [
-                            plane.window(
-                                Rect.from_center(cx, cy, window_nm, window_nm)
-                            )
-                            for cx, cy in chunk_centers
-                        ]
-                    if reuse_batches:
-                        item = views[0].shape
-                        buf = self._plane_batch_bufs.get(item)
-                        if buf is None or len(buf) < len(views):
-                            buf = np.empty(
-                                (max(len(views), self.chunk_clips), *item),
-                                dtype=views[0].dtype,
-                            )
-                            self._plane_batch_bufs[item] = buf
-                        batch = buf[: len(views)]
-                        for j, view in enumerate(views):
-                            np.copyto(batch[j], view)
-                    else:
-                        batch = np.stack(views)
-                centers.extend(chunk_centers)
-                if keep_clips:
-                    with telemetry.timer("extract"):
-                        clips.extend(
-                            extract_clip(layer, c, window_nm, core_nm)
-                            for c in chunk_centers
-                        )
-                telemetry.count("windows", len(chunk_centers))
+            for cc in _chunked(band_centers, chunk):
+                yield cc, partial(cut, grid, box, cc)
+
+    # ------------------------------------------------------------------
+    # the runner
+    # ------------------------------------------------------------------
+    def _run(
+        self, source: _WindowSource, keep_clips, ckpt, obs, telemetry
+    ) -> Tuple[Centers, List[Clip], np.ndarray]:
+        """Score every window ``source`` yields; return centers/clips/scores.
+
+        Without a cache the windows stream through the pool
+        (:meth:`_stream`); with one, each distinct pattern is scored once
+        (:meth:`_dedup`).  Centers, kept clips and the window/chunk
+        counters are recorded here, once, for both.
+        """
+        centers: Centers = []
+        clips: List[Clip] = []
+
+        def admit(chunk_centers: Centers, windows) -> None:
+            centers.extend(chunk_centers)
+            if keep_clips:
+                clips.extend(source.clips(chunk_centers, windows))
+            telemetry.count("windows", len(chunk_centers))
+            if windows is not None:
                 telemetry.count("chunks")
                 telemetry.observe("chunk_clips", len(chunk_centers))
-                yield batch
 
-    def _scan_raster_direct(
-        self, layer, region, window_nm, core_nm, step, pool, telemetry,
-        keep_clips, ckpt, obs,
-    ) -> Tuple[List[Tuple[int, int]], List[Clip], np.ndarray]:
-        """No-dedup raster path: band batches straight through the pool."""
-        centers: List[Tuple[int, int]] = []
-        clips: List[Clip] = []
-        prefix_parts: List[np.ndarray] = []
-        feature_block = self._plane_feature_block(window_nm, step)
-        batches = self._iter_plane_chunks(
-            layer, region, window_nm, core_nm, step, telemetry, keep_clips,
-            centers, clips, obs, ckpt=ckpt, prefix_parts=prefix_parts,
-            # the in-process pool scores each batch before pulling the
-            # next, so batches may share one persistent buffer; a
-            # process pool pickles batches ahead and must not
-            reuse_batches=pool.workers == 1,
-            feature_block=feature_block,
-        )
-        score_stream = (
-            pool.map_scores_features(batches)
-            if feature_block is not None
-            else pool.map_scores_rasters(batches)
-        )
+        score = self._stream if self.cache is None else self._dedup
+        scores = score(source, admit, ckpt, obs, telemetry)
+        return centers, clips, scores
+
+    def _stream(self, source, admit, ckpt, obs, telemetry) -> np.ndarray:
+        """No-cache mode: every chunk's batch goes straight to the pool.
+
+        With a checkpoint loaded for resume, the stored score prefix is
+        replayed chunk for chunk (those windows are never cut) and only
+        the remainder is dispatched; every newly scored chunk is
+        committed to the checkpointer in order.
+        """
+        prefix: List[np.ndarray] = []
+
+        def batches() -> Iterator[Sequence]:
+            for chunk_centers, materialize in source.chunks:
+                part = (
+                    None
+                    if ckpt is None
+                    else ckpt.next_resumed_chunk(len(chunk_centers))
+                )
+                if part is not None:
+                    prefix.append(part)
+                    admit(chunk_centers, None)
+                    telemetry.count("resume_hits", len(chunk_centers))
+                    obs.tick("resume")
+                    continue
+                windows = materialize()
+                admit(chunk_centers, windows)
+                yield windows
+
         parts: List[np.ndarray] = []
         with obs.tracer.span("score_stream", kind="phase"):
             with telemetry.timer("score"):
-                for part in score_stream:
+                for part in source.map_scores(batches()):
                     parts.append(part)
                     telemetry.count("scored", len(part))
                     if ckpt is not None:
                         ckpt.record_chunk(part)
                     obs.tick("score")
-        parts = prefix_parts + parts
-        scores = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-        )
-        return centers, clips, scores
+        parts = prefix + parts
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 
-    def _scan_raster_dedup(
-        self, layer, region, window_nm, core_nm, step, pool, telemetry,
-        keep_clips, ckpt, obs,
-    ) -> Tuple[List[Tuple[int, int]], List[Clip], np.ndarray]:
-        """Dedup raster path: fingerprint window slices, score once each.
+    def _dedup(self, source, admit, ckpt, obs, telemetry) -> np.ndarray:
+        """Cache mode: fingerprint every window, score each pattern once.
 
-        Same three phases as :meth:`_scan_dedup`, but patterns are keyed
-        on :func:`raster_fingerprint` of the quantized window raster
-        (prefixed so the keys can never collide with clip-geometry
-        fingerprints in a shared :class:`ScoreCache`).  Pending exemplars
-        are copied out of the plane — the plane buffer is recycled per
-        band.
+        Phase 1 cuts and fingerprints every chunk, keeping one exemplar
+        window per pattern neither this scan nor the cache has seen; a
+        resumed checkpoint then settles the patterns it already scored.
+        Phase 2 scores the exemplars through the pool; phase 3 assembles
+        the per-window score array.  Splitting the phases keeps
+        cross-chunk dedup exact even when the pool pipelines chunks.
         """
         cache = self.cache
-        assert cache is not None
-        centers: List[Tuple[int, int]] = []
-        clips: List[Clip] = []
+        chunk = self.config.batch.chunk_clips
         fingerprints: List[str] = []
         score_by_fp: Dict[str, float] = {}
-        pending: Dict[str, np.ndarray] = {}
+        pending: Dict[str, object] = {}
 
-        batches = self._iter_plane_chunks(
-            layer, region, window_nm, core_nm, step, telemetry, keep_clips,
-            centers, clips, obs,
-        )
         with obs.tracer.span("fingerprint", kind="phase") as fp_span:
-            for batch in batches:
+            chunks = ((cc, materialize()) for cc, materialize in source.chunks)
+            for chunk_centers, windows in chunks:
                 with telemetry.timer("dedup"):
-                    for raster in batch:
-                        fp = raster_fingerprint(raster)
+                    for window in windows:
+                        fp = source.fingerprint(window)
                         fingerprints.append(fp)
                         if fp in score_by_fp or fp in pending:
                             telemetry.count("dedup_hits")
@@ -1201,43 +1069,40 @@ class ScanEngine:
                             score_by_fp[fp] = cached
                             telemetry.count("cache_hits")
                         else:
-                            pending[fp] = raster
+                            pending[fp] = window
+                admit(chunk_centers, windows)
                 obs.tick("fingerprint")
-            self._apply_resumed_fp_scores(
-                ckpt, pending, score_by_fp, telemetry
-            )
+            if ckpt is not None:
+                for fp, score in ckpt.resumed_fp_scores().items():
+                    if fp in pending:
+                        del pending[fp]
+                        score_by_fp[fp] = score
+                        cache.put(fp, score)
+                        telemetry.count("resume_hits")
             fp_span.set(unique=len(pending) + len(score_by_fp))
 
-        unique_fps = list(pending)
-        unique_rasters = list(pending.values())
+        fps = list(pending)
+        exemplars = list(pending.values())
+        starts = range(0, len(fps), chunk)
         with obs.tracer.span("score", kind="phase"):
             with telemetry.timer("score"):
-                fp_chunks = [
-                    unique_fps[i : i + self.chunk_clips]
-                    for i in range(0, len(unique_fps), self.chunk_clips)
-                ]
-                raster_chunks = (
-                    np.stack(unique_rasters[i : i + self.chunk_clips])
-                    for i in range(0, len(unique_rasters), self.chunk_clips)
-                )
-                for fps, part in zip(
-                    fp_chunks, pool.map_scores_rasters(raster_chunks)
-                ):
-                    for fp, score in zip(fps, part):
+                batches = (source.pack(exemplars[i : i + chunk]) for i in starts)
+                for i, part in zip(starts, source.map_scores(batches)):
+                    chunk_fps = fps[i : i + chunk]
+                    for fp, score in zip(chunk_fps, part):
                         value = float(score)
                         score_by_fp[fp] = value
                         cache.put(fp, value)
                     telemetry.count("scored", len(part))
                     if ckpt is not None:
-                        ckpt.record_fp_chunk(fps, part)
+                        ckpt.record_fp_chunk(chunk_fps, part)
                     obs.tick("score")
 
         with obs.tracer.span("assemble", kind="phase"):
             with telemetry.timer("assemble"):
-                scores = np.array(
+                return np.array(
                     [score_by_fp[fp] for fp in fingerprints], dtype=np.float64
                 )
-        return centers, clips, scores
 
     # ------------------------------------------------------------------
     # verification

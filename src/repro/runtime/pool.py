@@ -364,19 +364,6 @@ class WorkerPool:
             batches, _score_feature_chunk_task, local_fn
         )
 
-    @shaped("[n]->(n,):float64")
-    def score(
-        self, clips: Sequence[Clip], chunk_clips: int = 256
-    ) -> np.ndarray:
-        """Convenience: score a flat clip list via chunked dispatch."""
-        if not clips:
-            return np.empty(0, dtype=np.float64)
-        chunks = [
-            clips[i : i + chunk_clips]
-            for i in range(0, len(clips), chunk_clips)
-        ]
-        return np.concatenate(list(self.map_scores(chunks)))
-
     # ------------------------------------------------------------------
     # supervision
     # ------------------------------------------------------------------

@@ -45,7 +45,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -55,7 +54,7 @@ import numpy as np
 
 from ..geometry import Layer, Layout, Rect, extract_clip, region_fingerprint
 from .config import EngineConfig
-from .engine import ScanEngine, ScanReport
+from .engine import ScanEngine, ScanReport, detector_tag
 from .metrics import export_metrics
 from .telemetry import Telemetry
 
@@ -674,10 +673,6 @@ class ChipManifest:
             )
 
 
-def _detector_tag(detector) -> str:
-    return getattr(detector, "name", type(detector).__name__)
-
-
 # --------------------------------------------------------------------------
 # runner
 # --------------------------------------------------------------------------
@@ -737,7 +732,7 @@ class ShardRunner:
             manifest = ChipManifest.load(chip.rescan_from)
             manifest.validate_for(
                 plan,
-                _detector_tag(self.detector),
+                self._detector_tag(),
                 float(self.detector.threshold),
             )
         need_fp = (
@@ -877,6 +872,14 @@ class ShardRunner:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _detector_tag(self) -> str:
+        """The manifest's detector tag, under this scan's backend override.
+
+        Shard engines apply ``batch.infer_backend`` to their own detector
+        copies, so the runner's detector may still carry another backend.
+        """
+        return detector_tag(self.detector, self.config.batch.infer_backend)
+
     def _manifest_path(self, root: Optional[Path]) -> Optional[Path]:
         if self.config.chip.manifest is not None:
             return Path(self.config.chip.manifest)
@@ -1064,7 +1067,7 @@ class ShardRunner:
             conf.append(local_conf)
         ChipManifest(
             plan_digest=plan.digest,
-            detector=_detector_tag(self.detector),
+            detector=self._detector_tag(),
             threshold=float(self.detector.threshold),
             scan_path=reports[0].scan_path if reports else "clip",
             has_confirmed=has_confirmed,
@@ -1092,7 +1095,6 @@ def scan_chip(
     resume: bool = False,
     faults=None,
     planner: Optional[ShardPlanner] = None,
-    **legacy_kwargs,
 ) -> ScanReport:
     """Scan a full chip: monolithic, sharded, or incremental — one path.
 
@@ -1107,27 +1109,9 @@ def scan_chip(
 
     ``layout`` may be a bare :class:`~repro.geometry.Layer` or a
     :class:`~repro.geometry.Layout` (pass ``layer=`` to pick one of
-    several).  ``region`` defaults to the layer's bounding box.  Flat
-    legacy engine kwargs (``workers=4, shards=8, ...``) keep working
-    through the same :class:`DeprecationWarning` shim as ``ScanEngine``;
-    mixing them with ``config=`` is a ``TypeError``.
+    several).  ``region`` defaults to the layer's bounding box.
     """
-    if legacy_kwargs:
-        if config is not None:
-            raise TypeError(
-                "pass either config=EngineConfig(...) or flat legacy "
-                f"kwargs, not both (got {sorted(legacy_kwargs)})"
-            )
-        warnings.warn(
-            "flat scan_chip kwargs are deprecated; pass "
-            "config=EngineConfig.from_kwargs("
-            + ", ".join(f"{k}=..." for k in sorted(legacy_kwargs))
-            + ") instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = EngineConfig.from_kwargs(**legacy_kwargs)
-    elif config is None:
+    if config is None:
         config = EngineConfig()
 
     if isinstance(layout, Layer):

@@ -333,7 +333,7 @@ class ProgressReporter:
     Reads everything it reports out of the scan's shared
     :class:`Telemetry` (the ``windows`` / ``scored`` / dedup counters
     the engine already maintains), so reporting adds no bookkeeping to
-    the scan strategies beyond one :meth:`tick` per chunk.
+    the scan runner beyond one :meth:`tick` per chunk.
     """
 
     def __init__(

@@ -22,11 +22,13 @@ slabs, so ``decode_layer(encode_layer(layer))`` rebuilds geometry whose
 clip fingerprints (and therefore scan scores) are identical to the
 original's.
 
-``engine`` accepts the flat :data:`~repro.runtime.LEGACY_KWARGS` names
-restricted to :data:`ALLOWED_ENGINE_KWARGS` — policy knobs a *client*
-may choose.  Paths and sinks (cache/checkpoint/trace directories,
-progress callables) are service-side resources and are refused at
-validation time.
+``engine`` accepts flat option names — the ones
+:meth:`EngineConfig.from_kwargs <repro.runtime.EngineConfig.from_kwargs>`
+maps through :data:`~repro.runtime.LEGACY_KWARGS` — restricted to
+:data:`ALLOWED_ENGINE_KWARGS`, the policy knobs a *client* may choose.
+Paths and sinks (cache/checkpoint/trace directories, progress
+callables) are service-side resources and are refused at validation
+time.
 
 :func:`canonical_report_json` is the determinism contract of the
 service: the projection of a :meth:`ScanReport.to_json()
@@ -47,7 +49,7 @@ from ..runtime import EngineConfig
 #: bump when the job-request layout changes incompatibly
 JOB_REQUEST_SCHEMA = 1
 
-#: engine knobs a client may set (flat LEGACY_KWARGS names)
+#: engine knobs a client may set (flat option names for from_kwargs)
 ALLOWED_ENGINE_KWARGS: Tuple[str, ...] = (
     "workers",
     "chunk_clips",

@@ -51,21 +51,27 @@ def _ckpt_path(tmp_path):
 @pytest.mark.parametrize("dedup", [False, True], ids=["direct", "dedup"])
 def test_interrupted_scan_resumes_byte_identical(layer, region, tmp_path, dedup):
     clean = _scan(
-        ScanEngine(DensityDetector(), dedup=dedup, raster_plane=False, **FAST),
+        ScanEngine(DensityDetector(), config=EngineConfig.from_kwargs(
+            dedup=dedup, raster_plane=False, **FAST,
+        )),
         layer, region,
     )
 
     flaky = ScanEngine(
-        FlakyDensityDetector(fail_after=2), dedup=dedup, raster_plane=False,
-        checkpoint_dir=tmp_path / "ckpt", **FAST,
+        FlakyDensityDetector(fail_after=2), config=EngineConfig.from_kwargs(
+            dedup=dedup, raster_plane=False,
+            checkpoint_dir=tmp_path / "ckpt", **FAST,
+        ),
     )
     with pytest.raises(RuntimeError, match="flaky detector"):
         _scan(flaky, layer, region)
     assert _ckpt_path(tmp_path).exists()
 
     resumed = ScanEngine(
-        DensityDetector(), dedup=dedup, raster_plane=False,
-        checkpoint_dir=tmp_path / "ckpt", **FAST,
+        DensityDetector(), config=EngineConfig.from_kwargs(
+            dedup=dedup, raster_plane=False,
+            checkpoint_dir=tmp_path / "ckpt", **FAST,
+        ),
     )
     report = _scan(resumed, layer, region, resume=True)
 
@@ -82,14 +88,18 @@ def test_interrupted_scan_resumes_byte_identical(layer, region, tmp_path, dedup)
 
 def test_interrupted_raster_scan_resumes_byte_identical(layer, region, tmp_path):
     clean = _scan(
-        ScanEngine(RasterMeanDetector(), dedup=False, raster_plane=True, **FAST),
+        ScanEngine(RasterMeanDetector(), config=EngineConfig.from_kwargs(
+            dedup=False, raster_plane=True, **FAST,
+        )),
         layer, region,
     )
     assert clean.scan_path == "raster"
 
     flaky = ScanEngine(
-        FlakyRasterMeanDetector(fail_after=2), dedup=False, raster_plane=True,
-        checkpoint_dir=tmp_path / "ckpt", **FAST,
+        FlakyRasterMeanDetector(fail_after=2), config=EngineConfig.from_kwargs(
+            dedup=False, raster_plane=True,
+            checkpoint_dir=tmp_path / "ckpt", **FAST,
+        ),
     )
     with pytest.raises(RuntimeError, match="flaky raster"):
         _scan(flaky, layer, region)
@@ -97,8 +107,10 @@ def test_interrupted_raster_scan_resumes_byte_identical(layer, region, tmp_path)
 
     report = _scan(
         ScanEngine(
-            RasterMeanDetector(), dedup=False, raster_plane=True,
-            checkpoint_dir=tmp_path / "ckpt", **FAST,
+            RasterMeanDetector(), config=EngineConfig.from_kwargs(
+                dedup=False, raster_plane=True,
+                checkpoint_dir=tmp_path / "ckpt", **FAST,
+            ),
         ),
         layer, region, resume=True,
     )
@@ -188,8 +200,10 @@ def test_every_window_source_resumes_byte_identical(
 
 def test_completed_scan_checkpoints_then_cleans_up(layer, region, tmp_path):
     engine = ScanEngine(
-        DensityDetector(), dedup=False, raster_plane=False,
-        checkpoint_dir=tmp_path / "ckpt", **FAST,
+        DensityDetector(), config=EngineConfig.from_kwargs(
+            dedup=False, raster_plane=False,
+            checkpoint_dir=tmp_path / "ckpt", **FAST,
+        ),
     )
     report = _scan(engine, layer, region)
     assert report.telemetry.counter("checkpoint_saves") >= 1
@@ -198,13 +212,17 @@ def test_completed_scan_checkpoints_then_cleans_up(layer, region, tmp_path):
 
 def test_resume_with_no_checkpoint_scans_from_scratch(layer, region, tmp_path):
     clean = _scan(
-        ScanEngine(DensityDetector(), dedup=False, raster_plane=False, **FAST),
+        ScanEngine(DensityDetector(), config=EngineConfig.from_kwargs(
+            dedup=False, raster_plane=False, **FAST,
+        )),
         layer, region,
     )
     report = _scan(
         ScanEngine(
-            DensityDetector(), dedup=False, raster_plane=False,
-            checkpoint_dir=tmp_path / "ckpt", **FAST,
+            DensityDetector(), config=EngineConfig.from_kwargs(
+                dedup=False, raster_plane=False,
+                checkpoint_dir=tmp_path / "ckpt", **FAST,
+            ),
         ),
         layer, region, resume=True,
     )
@@ -213,7 +231,9 @@ def test_resume_with_no_checkpoint_scans_from_scratch(layer, region, tmp_path):
 
 
 def test_resume_requires_checkpoint_dir(layer, region):
-    engine = ScanEngine(DensityDetector(), raster_plane=False)
+    engine = ScanEngine(
+        DensityDetector(), config=EngineConfig.from_kwargs(raster_plane=False)
+    )
     with pytest.raises(ValueError, match="checkpoint_dir"):
         _scan(engine, layer, region, resume=True)
 
@@ -223,8 +243,10 @@ def test_resume_requires_checkpoint_dir(layer, region):
 # ----------------------------------------------------------------------
 def _interrupt(layer, region, tmp_path, **engine_kw):
     flaky = ScanEngine(
-        FlakyDensityDetector(fail_after=2), raster_plane=False,
-        checkpoint_dir=tmp_path / "ckpt", **{**FAST, **engine_kw},
+        FlakyDensityDetector(fail_after=2), config=EngineConfig.from_kwargs(
+            raster_plane=False,
+            checkpoint_dir=tmp_path / "ckpt", **{**FAST, **engine_kw},
+        ),
     )
     with pytest.raises(RuntimeError):
         _scan(flaky, layer, region)
@@ -234,9 +256,11 @@ def _interrupt(layer, region, tmp_path, **engine_kw):
 def test_resume_refuses_different_config(layer, region, tmp_path):
     _interrupt(layer, region, tmp_path, dedup=False)
     engine = ScanEngine(
-        DensityDetector(), dedup=False, raster_plane=False,
-        checkpoint_dir=tmp_path / "ckpt",
-        **{**FAST, "chunk_clips": 16},  # different chunking => different scan
+        DensityDetector(), config=EngineConfig.from_kwargs(
+            dedup=False, raster_plane=False,
+            checkpoint_dir=tmp_path / "ckpt",
+            **{**FAST, "chunk_clips": 16},  # different chunking => different scan
+        ),
     )
     with pytest.raises(CheckpointMismatch):
         _scan(engine, layer, region, resume=True)
@@ -245,8 +269,10 @@ def test_resume_refuses_different_config(layer, region, tmp_path):
 def test_resume_refuses_different_detector(layer, region, tmp_path):
     _interrupt(layer, region, tmp_path, dedup=False)
     engine = ScanEngine(
-        DensityDetector(cutoff=0.45), dedup=False, raster_plane=False,
-        checkpoint_dir=tmp_path / "ckpt", **FAST,
+        DensityDetector(cutoff=0.45), config=EngineConfig.from_kwargs(
+            dedup=False, raster_plane=False,
+            checkpoint_dir=tmp_path / "ckpt", **FAST,
+        ),
     )
     # same tag, same geometry — but a different threshold changes the hash
     engine.detector.threshold = 0.75
@@ -262,13 +288,17 @@ def test_corrupt_checkpoint_is_quarantined_and_scan_restarts(
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
     clean = _scan(
-        ScanEngine(DensityDetector(), dedup=False, raster_plane=False, **FAST),
+        ScanEngine(DensityDetector(), config=EngineConfig.from_kwargs(
+            dedup=False, raster_plane=False, **FAST,
+        )),
         layer, region,
     )
     report = _scan(
         ScanEngine(
-            DensityDetector(), dedup=False, raster_plane=False,
-            checkpoint_dir=tmp_path / "ckpt", **FAST,
+            DensityDetector(), config=EngineConfig.from_kwargs(
+                dedup=False, raster_plane=False,
+                checkpoint_dir=tmp_path / "ckpt", **FAST,
+            ),
         ),
         layer, region, resume=True,
     )
@@ -283,10 +313,12 @@ def test_corrupt_checkpoint_is_quarantined_and_scan_restarts(
 def test_checkpoint_truncate_fault_reaches_the_file(layer, region, tmp_path):
     """The checkpoint_truncate injection point corrupts a real save."""
     engine = ScanEngine(
-        DensityDetector(), dedup=False, raster_plane=False,
-        checkpoint_dir=tmp_path / "ckpt",
+        DensityDetector(),
+        config=EngineConfig.from_kwargs(
+            dedup=False, raster_plane=False,
+            checkpoint_dir=tmp_path / "ckpt", **FAST,
+        ),
         faults="checkpoint_truncate@0",
-        **FAST,
     )
     report = _scan(engine, layer, region)
     assert engine.faults.fired["checkpoint_truncate"] == 1

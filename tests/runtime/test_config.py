@@ -1,4 +1,4 @@
-"""EngineConfig: grouped frozen config, legacy-kwarg shim, report wire format."""
+"""EngineConfig: grouped frozen config, flat-name mapping, report wire format."""
 
 import dataclasses
 
@@ -16,6 +16,7 @@ from repro.runtime import (
     ScanEngine,
     ScanReport,
     SupervisionConfig,
+    scan_chip,
 )
 
 from .conftest import DensityDetector, GradedDensityDetector
@@ -127,60 +128,41 @@ class TestFlatKwargMapping:
         with pytest.raises(TypeError, match="turbo"):
             EngineConfig.from_kwargs(turbo=True)
 
-    def test_replace_kwargs_keeps_other_groups(self):
-        base = EngineConfig.from_kwargs(workers=3, checkpoint_dir="ckpt")
-        changed = base.replace_kwargs(chunk_clips=64)
-        assert changed.batch.workers == 3
-        assert changed.batch.chunk_clips == 64
-        assert changed.checkpoint.dir == "ckpt"
-        assert base.batch.chunk_clips == 256  # original untouched
-
-    def test_flat_items_round_trips(self):
-        cfg = EngineConfig.from_kwargs(
-            workers=2, dedup=False, band_rows=4, checkpoint_every_chunks=5
-        )
-        assert EngineConfig.from_kwargs(**cfg.flat_items()) == cfg
-
     def test_every_legacy_kwarg_is_applicable(self):
-        cfg = EngineConfig()
-        for name in LEGACY_KWARGS:
-            flat = cfg.flat_items()
-            assert name in flat
-            assert cfg.replace_kwargs(**{name: flat[name]}) == cfg
+        """Each flat name sets exactly its grouped field, nothing else."""
+        probes = {
+            "workers": 2, "chunk_clips": 7, "dedup": False,
+            "cache_dir": "cache", "max_cache_entries": 9,
+            "mp_context": "fork", "infer_backend": "fused",
+            "raster_plane": True, "band_rows": 3, "max_plane_pixels": 5,
+            "chunk_timeout_s": 1.5, "max_chunk_retries": 4,
+            "retry_backoff_s": 0.5, "max_pool_rebuilds": 3,
+            "degrade_after_failures": 2, "on_invalid_score": "raise",
+            "checkpoint_dir": "ckpt", "checkpoint_every_chunks": 2,
+            "trace_dir": "traces", "metrics": "m", "progress": "stderr",
+            "progress_every_chunks": 2, "shards": 4, "shard_workers": 2,
+            "halo_nm": 0, "snap_nm": 64, "instance_dedup": False,
+            "manifest": "man.npz", "rescan_from": "prior.npz",
+        }
+        assert set(probes) == set(LEGACY_KWARGS)
+        default = EngineConfig()
+        for name, (group, field_name) in LEGACY_KWARGS.items():
+            sub = dataclasses.replace(
+                getattr(default, group), **{field_name: probes[name]}
+            )
+            assert sub != getattr(default, group), name
+            assert EngineConfig.from_kwargs(
+                **{name: probes[name]}
+            ) == dataclasses.replace(default, **{group: sub})
 
-
-class TestLegacyShim:
-    def test_flat_kwargs_warn_and_apply(self, layer, region):
-        with pytest.warns(DeprecationWarning, match="EngineConfig.from_kwargs"):
-            engine = ScanEngine(DensityDetector(), workers=1, chunk_clips=13)
-        assert engine.config.batch.chunk_clips == 13
-        report = engine.scan(layer, region)
-        assert report.n_windows > 0
-
-    def test_config_path_does_not_warn(self, recwarn):
-        ScanEngine(DensityDetector(), config=EngineConfig())
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
-        ]
-
-    def test_config_plus_legacy_is_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
+    def test_flat_kwargs_are_a_type_error(self, layer, region):
+        """The flat spelling goes through from_kwargs only."""
+        with pytest.raises(TypeError, match="workers"):
+            ScanEngine(DensityDetector(), workers=2)
+        with pytest.raises(TypeError, match="workers"):
             ScanEngine(DensityDetector(), config=EngineConfig(), workers=2)
-
-    def test_unknown_legacy_kwarg_is_type_error(self):
-        with pytest.raises(TypeError, match="warp_speed"):
-            ScanEngine(DensityDetector(), warp_speed=9)
-
-    def test_shim_equivalent_to_config(self, layer, region):
-        with pytest.warns(DeprecationWarning):
-            legacy = ScanEngine(GradedDensityDetector(), chunk_clips=17)
-        config = ScanEngine(
-            GradedDensityDetector(),
-            config=EngineConfig.from_kwargs(chunk_clips=17),
-        )
-        a = legacy.scan(layer, region)
-        b = config.scan(layer, region)
-        assert a.scores.tobytes() == b.scores.tobytes()
+        with pytest.raises(TypeError, match="shards"):
+            scan_chip(layer, DensityDetector(), region=region, shards=4)
 
 
 class TestReportWire:

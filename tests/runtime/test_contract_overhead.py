@@ -11,7 +11,7 @@ import pytest
 
 from repro import contracts
 from repro.geometry import Layer, Rect
-from repro.runtime import ScanEngine
+from repro.runtime import EngineConfig, ScanEngine
 from repro.shallow import make_logistic_density
 
 from .conftest import tiny_grating_dataset
@@ -40,7 +40,7 @@ def tiled_layer() -> Layer:
 
 
 def _scan(detector, layer, **kw):
-    engine = ScanEngine(detector, **kw)
+    engine = ScanEngine(detector, config=EngineConfig.from_kwargs(**kw))
     return engine.scan(layer, REGION, keep_clips=False)
 
 

@@ -12,7 +12,13 @@ import pytest
 from repro.core import scan_layer
 from repro.data import RoutedBlockConfig, replicate_block, synthesize_routed_block
 from repro.geometry import Rect
-from repro.runtime import CascadeDetector, ScanEngine, ScanReport, ScoreCache
+from repro.runtime import (
+    CascadeDetector,
+    EngineConfig,
+    ScanEngine,
+    ScanReport,
+    ScoreCache,
+)
 from repro.shallow import make_logistic_density
 
 from .conftest import DensityDetector, GradedDensityDetector, tiny_grating_dataset
@@ -28,15 +34,23 @@ class TestEquivalence:
 
     def test_chunking_does_not_change_scores(self, layer, region):
         det = GradedDensityDetector()
-        a = ScanEngine(det, chunk_clips=7, dedup=False).scan(layer, region)
-        b = ScanEngine(det, chunk_clips=500, dedup=False).scan(layer, region)
+        a = ScanEngine(
+            det, config=EngineConfig.from_kwargs(chunk_clips=7, dedup=False)
+        ).scan(layer, region)
+        b = ScanEngine(
+            det, config=EngineConfig.from_kwargs(chunk_clips=500, dedup=False)
+        ).scan(layer, region)
         assert a.scores.tobytes() == b.scores.tobytes()
 
     def test_workers_byte_identical(self, layer, region):
         det = make_logistic_density()
         det.fit(tiny_grating_dataset(), rng=np.random.default_rng(1))
-        r1 = ScanEngine(det, workers=1).scan(layer, region)
-        r2 = ScanEngine(det, workers=2).scan(layer, region)
+        r1 = ScanEngine(
+            det, config=EngineConfig.from_kwargs(workers=1)
+        ).scan(layer, region)
+        r2 = ScanEngine(
+            det, config=EngineConfig.from_kwargs(workers=2)
+        ).scan(layer, region)
         assert r1.scores.tobytes() == r2.scores.tobytes()
         assert np.array_equal(r1.flagged, r2.flagged)
 
@@ -58,9 +72,9 @@ class TestDedup:
         )
 
     def test_dedup_disabled_scores_everything(self, layer, region):
-        report = ScanEngine(DensityDetector(0.3), dedup=False).scan(
-            layer, region
-        )
+        report = ScanEngine(
+            DensityDetector(0.3), config=EngineConfig.from_kwargs(dedup=False)
+        ).scan(layer, region)
         assert report.n_scored == report.n_windows
         assert report.dedup_ratio == 0.0
 
@@ -74,13 +88,15 @@ class TestDedup:
         assert np.array_equal(first.flagged, second.flagged)
 
     def test_cache_dir_persists_across_engines(self, layer, region, tmp_path):
-        r1 = ScanEngine(DensityDetector(0.3), cache_dir=tmp_path).scan(
-            layer, region
-        )
+        r1 = ScanEngine(
+            DensityDetector(0.3),
+            config=EngineConfig.from_kwargs(cache_dir=tmp_path),
+        ).scan(layer, region)
         assert ScoreCache.dir_path(tmp_path).exists()
-        r2 = ScanEngine(DensityDetector(0.3), cache_dir=tmp_path).scan(
-            layer, region
-        )
+        r2 = ScanEngine(
+            DensityDetector(0.3),
+            config=EngineConfig.from_kwargs(cache_dir=tmp_path),
+        ).scan(layer, region)
         assert r1.n_scored > 0
         assert r2.n_scored == 0
         assert np.array_equal(r1.flagged, r2.flagged)
@@ -174,7 +190,9 @@ class TestAcceptance:
         naive = scan_layer(cascade, layer, region)
         cascade.reset_stats()
 
-        engine = ScanEngine(cascade, workers=1)
+        engine = ScanEngine(
+            cascade, config=EngineConfig.from_kwargs(workers=1)
+        )
         report = engine.scan(layer, region)
 
         # identical flagged windows

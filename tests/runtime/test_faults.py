@@ -20,6 +20,7 @@ from repro.contracts import ContractViolation
 from repro.geometry import Rect, extract_clip, iter_tile_centers
 from repro.runtime import (
     INJECTION_POINTS,
+    EngineConfig,
     FaultInjector,
     FaultPolicy,
     ScanEngine,
@@ -261,14 +262,19 @@ def test_chaos_scan_flags_byte_identical(layer, region, tmp_path):
     """The acceptance drill: kill a worker and corrupt the cache mid-scan;
     the flagged set must not move by a single window."""
     clean = ScanEngine(
-        DensityDetector(), workers=1, chunk_clips=4, raster_plane=False
+        DensityDetector(), config=EngineConfig.from_kwargs(
+            workers=1, chunk_clips=4, raster_plane=False
+        ),
     ).scan(layer, region, keep_clips=False)
 
     cache_dir = tmp_path / "cache"
     chaos = ScanEngine(
-        DensityDetector(), workers=2, cache_dir=cache_dir, chunk_clips=4,
-        raster_plane=False, chunk_timeout_s=1.5, max_chunk_retries=2,
-        retry_backoff_s=0.01, faults=CHAOS_SPEC,
+        DensityDetector(), config=EngineConfig.from_kwargs(
+            workers=2, cache_dir=cache_dir, chunk_clips=4,
+            raster_plane=False, chunk_timeout_s=1.5, max_chunk_retries=2,
+            retry_backoff_s=0.01,
+        ),
+        faults=CHAOS_SPEC,
     )
     report = chaos.scan(layer, region, keep_clips=False)
 
@@ -289,8 +295,10 @@ def test_chaos_scan_flags_byte_identical(layer, region, tmp_path):
     # the truncated cache file is quarantined on the next open, and the
     # rescan (cold cache) still reproduces the same flagged set
     rescan = ScanEngine(
-        DensityDetector(), workers=1, cache_dir=cache_dir, chunk_clips=4,
-        raster_plane=False,
+        DensityDetector(), config=EngineConfig.from_kwargs(
+            workers=1, cache_dir=cache_dir, chunk_clips=4,
+            raster_plane=False,
+        ),
     )
     report2 = rescan.scan(layer, region, keep_clips=False)
     assert report2.telemetry.counter("cache_quarantined") == 1
@@ -304,11 +312,14 @@ def test_chaos_scan_flags_byte_identical(layer, region, tmp_path):
 SMALL = Rect(0, 0, 2048, 2048)
 
 
-def _engine(detector, *, raster, dedup, workers, **kw):
+def _engine(detector, *, raster, dedup, workers, faults=None, **kw):
     return ScanEngine(
-        detector, workers=workers, dedup=dedup, raster_plane=raster,
-        chunk_clips=16, chunk_timeout_s=5.0, max_chunk_retries=2,
-        retry_backoff_s=0.01, **kw,
+        detector, config=EngineConfig.from_kwargs(
+            workers=workers, dedup=dedup, raster_plane=raster,
+            chunk_clips=16, chunk_timeout_s=5.0, max_chunk_retries=2,
+            retry_backoff_s=0.01, **kw,
+        ),
+        faults=faults,
     )
 
 

@@ -21,6 +21,14 @@ def _fitted_logistic():
     return det
 
 
+def _map_scores(pool, clips, chunk_clips):
+    """All scores of ``clips``, dispatched in ``chunk_clips``-sized chunks."""
+    chunks = [
+        clips[i : i + chunk_clips] for i in range(0, len(clips), chunk_clips)
+    ]
+    return np.concatenate(list(pool.map_scores(chunks)))
+
+
 class TestDetectorState:
     def test_round_trip_preserves_scores(self):
         det = _fitted_logistic()
@@ -46,12 +54,12 @@ class TestInProcess:
         det = DensityDetector(0.3)
         clips = tiny_grating_dataset(n=12, seed=5).clips
         pool = WorkerPool(det, workers=1)
-        scores = pool.score(clips, chunk_clips=5)
+        scores = _map_scores(pool, clips, chunk_clips=5)
         assert np.array_equal(scores, det.predict_proba(clips))
 
     def test_empty_clip_list(self):
-        scores = WorkerPool(DensityDetector(), workers=1).score([])
-        assert scores.shape == (0,)
+        pool = WorkerPool(DensityDetector(), workers=1)
+        assert list(pool.map_scores([])) == []
 
     def test_bad_workers(self):
         with pytest.raises(ValueError):
@@ -78,9 +86,9 @@ class TestMultiprocess:
         """workers=2 must reproduce workers=1 scores exactly."""
         det = _fitted_logistic()
         clips = tiny_grating_dataset(n=10, seed=7).clips
-        sequential = WorkerPool(det, workers=1).score(clips, chunk_clips=3)
+        sequential = _map_scores(WorkerPool(det, workers=1), clips, 3)
         with WorkerPool(det, workers=2) as pool:
-            parallel = pool.score(clips, chunk_clips=3)
+            parallel = _map_scores(pool, clips, 3)
         assert sequential.tobytes() == parallel.tobytes()
 
 

@@ -13,7 +13,7 @@ import pytest
 from repro.core.detector import Detector, FitReport, supports_raster_scan
 from repro.geometry import Layer, Rect
 from repro.geometry.rasterize import rasterize_clip
-from repro.runtime import ScanEngine
+from repro.runtime import EngineConfig, ScanEngine
 from repro.runtime.engine import (  # lint: disable=no-deep-runtime-import  (white-box test of the private band iterator)
     _iter_raster_bands,
 )
@@ -80,7 +80,11 @@ REGION = Rect(0, 0, 4096, 4096)
 
 
 def _scan(detector, layer, *, raster_plane, dedup=True, **kw):
-    engine = ScanEngine(detector, raster_plane=raster_plane, dedup=dedup, **kw)
+    engine = ScanEngine(
+        detector, config=EngineConfig.from_kwargs(
+            raster_plane=raster_plane, dedup=dedup, **kw
+        ),
+    )
     return engine.scan(layer, REGION, keep_clips=False)
 
 
@@ -171,7 +175,8 @@ class TestBandGeometry:
 
     def test_keep_clips_retains_clip_objects(self, tiled_layer):
         report = ScanEngine(
-            RasterMeanDetector(), raster_plane=True, dedup=False
+            RasterMeanDetector(),
+            config=EngineConfig.from_kwargs(raster_plane=True, dedup=False),
         ).scan(tiled_layer, REGION, keep_clips=True)
         assert len(report.clips) == report.n_windows
         assert report.clips[0].window.width == 768
@@ -305,14 +310,17 @@ class TestPlaneFeaturePath:
 
     def test_misaligned_step_falls_back_to_raster_windows(self, tiled_layer):
         det = FeatureMeanDetector()
-        engine = ScanEngine(det, raster_plane=True, dedup=False)
+        engine = ScanEngine(
+            det, config=EngineConfig.from_kwargs(raster_plane=True, dedup=False)
+        )
         # step 96 nm is not a multiple of the 64 nm feature-block pitch
         report = engine.scan(tiled_layer, REGION, step_nm=96, keep_clips=False)
         assert report.scan_path == "raster"
         assert report.telemetry.counters.get("feature_planes", 0) == 0
-        clip = ScanEngine(det, raster_plane=False, dedup=False).scan(
-            tiled_layer, REGION, step_nm=96, keep_clips=False
-        )
+        clip = ScanEngine(
+            det,
+            config=EngineConfig.from_kwargs(raster_plane=False, dedup=False),
+        ).scan(tiled_layer, REGION, step_nm=96, keep_clips=False)
         np.testing.assert_allclose(report.scores, clip.scores, atol=1e-12)
 
     def test_dedup_path_ignores_plane_features(self, tiled_layer):

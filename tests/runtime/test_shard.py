@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -611,16 +609,3 @@ def test_scan_chip_defaults_region_to_the_layer_bbox(layer):
     explicit = scan_chip(layer, detector, region=layer.bbox)
     implicit = scan_chip(layer, detector)
     assert canonical(implicit) == canonical(explicit)
-
-
-def test_scan_chip_legacy_kwargs_warn_and_match_config(layer, region):
-    detector = GradedDensityDetector()
-    config = EngineConfig.from_kwargs(shards=4, shard_workers=2)
-    want = canonical(scan_chip(layer, detector, config, region=region))
-    with pytest.warns(DeprecationWarning, match="shards"):
-        got = scan_chip(
-            layer, detector, region=region, shards=4, shard_workers=2
-        )
-    assert canonical(got) == want
-    with pytest.raises(TypeError, match="not both"):
-        scan_chip(layer, detector, config, region=region, shards=4)
