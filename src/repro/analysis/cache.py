@@ -15,19 +15,20 @@ keyed two ways:
 A **fingerprint** over the analyzer version and the full rule registry
 guards the whole cache: registering a rule, renaming one, or bumping
 :data:`~repro.analysis.project.ANALYZER_CACHE_VERSION` drops every
-entry at once.  Corrupt or mismatched cache files are discarded, never
-trusted; saves are atomic (tmp + rename) so a crashed run can't leave a
-torn file behind.
+entry at once.  The document is saved and read through
+:mod:`repro.durable` (atomic, checksummed); a corrupt, older-schema or
+mismatched cache file is dropped, never trusted.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional
 
-CACHE_SCHEMA = 1
+from ..durable import CorruptFile, dump_json, load_json
+
+#: 2: the repro.durable checksum; an older cache is dropped
+CACHE_SCHEMA = 2
 _CACHE_NAME = "cache.json"
 
 
@@ -44,18 +45,11 @@ class LintCache:
 
     def _load(self) -> None:
         try:
-            data = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            data = load_json(self.path, (CACHE_SCHEMA,))
+        except (FileNotFoundError, CorruptFile):
             return
-        if not isinstance(data, dict):
-            return
-        if data.get("schema") != CACHE_SCHEMA:
-            return
-        if data.get("fingerprint") != self.fingerprint:
-            return
-        files = data.get("files")
-        if isinstance(files, dict):
-            self.files = files
+        if data["fingerprint"] == self.fingerprint:
+            self.files = data["files"]
 
     # -- per-file layer -------------------------------------------------
     def get_file(
@@ -116,13 +110,12 @@ class LintCache:
     def save(self) -> None:
         if not self._dirty:
             return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        document = {
-            "schema": CACHE_SCHEMA,
-            "fingerprint": self.fingerprint,
-            "files": self.files,
-        }
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(document), encoding="utf-8")
-        os.replace(tmp, self.path)
+        dump_json(
+            self.path,
+            {
+                "schema": CACHE_SCHEMA,
+                "fingerprint": self.fingerprint,
+                "files": self.files,
+            },
+        )
         self._dirty = False

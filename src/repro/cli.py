@@ -459,9 +459,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_s=args.deadline,
         default_attempt_deadline_s=args.attempt_deadline,
     )
-    # quarantine events from the file adapters feed the service counters
-    store.on_quarantine = manager.on_quarantine
-    results.on_quarantine = manager.on_quarantine
     fleet = WorkerFleet(manager, detector, workers=args.workers)
     service = serve(manager, fleet=fleet, host=args.host, port=args.port)
     host, port = service.address

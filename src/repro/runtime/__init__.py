@@ -40,6 +40,7 @@ monolithic scan.
 The legacy :func:`repro.core.scan.scan_layer` entry point delegates here.
 """
 
+from ..durable import quarantine_file
 from .cache import CacheIntegrityError, ScoreCache
 from .cascade import (
     TUNING_SCHEMA,
@@ -52,7 +53,6 @@ from .checkpoint import (
     CHECKPOINT_NAME,
     Checkpointer,
     CheckpointMismatch,
-    quarantine_file,
     scan_config_hash,
 )
 from .config import (

@@ -9,58 +9,37 @@ sound memoization key: **same fingerprint, same score**, regardless of
 where on the chip the window sits.
 
 :class:`ScoreCache` is a bounded LRU map ``fingerprint -> score`` with
-hit/miss/eviction counters and optional on-disk persistence (json or npz)
-so repeated scans of the same block are near-free.  A ``detector_tag``
-guards persisted caches against being replayed under a different detector
-(scores are detector-specific even though fingerprints are not).
+hit/miss/eviction counters and optional on-disk persistence (one JSON
+document) so repeated scans of the same block are near-free.  A
+``detector_tag`` guards persisted caches against being replayed under a
+different detector (scores are detector-specific even though
+fingerprints are not).
 
-Persistence is hardened against the failure modes an hours-long scan
-actually meets:
-
-* **atomic saves** — both formats write to ``path.with_suffix(".tmp")``
-  and ``os.replace`` into place, so a crash mid-save can never leave a
-  truncated canonical cache file,
-* **schema version + checksum** — persisted files carry a layout version
-  and a BLAKE2 checksum of the payload; load verifies both,
-* **quarantine, don't crash** — :meth:`open_dir` moves a corrupt or
-  unreadable cache aside (``*.quarantined``) and starts empty instead of
-  killing the scan; the explicit :meth:`load` raises
-  :class:`CacheIntegrityError` so callers can distinguish corruption
-  from a legitimate detector-tag mismatch (still a ``ValueError``).
+Persistence goes through :mod:`repro.durable`: saves are atomic, the
+document carries a schema and a checksum, and any bad file raises
+:class:`~repro.durable.CorruptFile`.  :meth:`open_dir` quarantines a
+corrupt or older-schema cache (``*.quarantined``) and starts empty
+instead of killing the scan — a damaged cache only costs time.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import zipfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from ..counters import assert_counters_consistent
+from ..durable import CorruptFile, dump_json, load_json, quarantine_file
 from .trace import NULL_TRACER
 
 PathLike = Union[str, Path]
 
-#: bump when the persisted layout changes incompatibly
-CACHE_SCHEMA = 2
+#: bump when the persisted layout changes incompatibly (3: the
+#: repro.durable checksum; older caches start cold)
+CACHE_SCHEMA = 3
 
-
-class CacheIntegrityError(ValueError):
-    """A persisted cache file is corrupt, truncated, or unreadable."""
-
-
-def _scores_checksum(detector_tag: str, scores: Dict[str, float]) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(detector_tag.encode())
-    for fp, score in scores.items():
-        h.update(fp.encode())
-        h.update(np.float64(score).tobytes())
-    return h.hexdigest()
+#: alias kept for callers that catch corruption by this name
+CacheIntegrityError = CorruptFile
 
 
 class ScoreCache:
@@ -145,68 +124,19 @@ class ScoreCache:
     # persistence
     # ------------------------------------------------------------------
     def save(self, path: PathLike) -> Path:
-        """Persist to ``path`` (.json, or .npz for anything else).
-
-        The write is atomic: the payload lands in a sibling ``.tmp``
-        file first and is renamed over the target, so readers never see
-        a partially written cache.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        checksum = _scores_checksum(self.detector_tag, self._scores)
-        if path.suffix == ".json":
-            payload = {
+        """Persist to ``path`` as a checksummed JSON document, atomically."""
+        path = dump_json(
+            path,
+            {
                 "schema": CACHE_SCHEMA,
                 "detector": self.detector_tag,
                 "scores": dict(self._scores),
-                "checksum": checksum,
-            }
-            tmp.write_text(json.dumps(payload))
-        else:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(
-                    fh,
-                    schema=np.array(CACHE_SCHEMA),
-                    detector=np.array(self.detector_tag),
-                    fingerprints=np.array(list(self._scores), dtype=np.str_),
-                    scores=np.array(
-                        list(self._scores.values()), dtype=np.float64
-                    ),
-                    checksum=np.array(checksum),
-                )
-        os.replace(tmp, path)
+            },
+        )
         self.tracer.event(
             "cache_save", entries=len(self._scores), path=str(path)
         )
         return path
-
-    @classmethod
-    def _read_payload(cls, path: Path):
-        """Parse a persisted cache; (tag, scores, schema, checksum)."""
-        if path.suffix == ".json":
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("cache payload is not an object")
-            tag = str(payload.get("detector", ""))
-            scores = payload.get("scores", {})
-            if not isinstance(scores, dict):
-                raise ValueError("cache scores are not a map")
-            scores = {str(fp): float(s) for fp, s in scores.items()}
-            schema = payload.get("schema", 1)
-            checksum = payload.get("checksum")
-        else:
-            with np.load(path, allow_pickle=False) as data:
-                tag = str(data["detector"])
-                scores = {
-                    str(fp): float(s)
-                    for fp, s in zip(data["fingerprints"], data["scores"])
-                }
-                schema = int(data["schema"]) if "schema" in data else 1
-                checksum = (
-                    str(data["checksum"]) if "checksum" in data else None
-                )
-        return tag, scores, schema, checksum
 
     @classmethod
     def load(
@@ -217,54 +147,27 @@ class ScoreCache:
     ) -> "ScoreCache":
         """Rebuild a cache saved by :meth:`save`.
 
-        Raises :class:`CacheIntegrityError` when the file is corrupt,
-        truncated, carries an unknown schema, or fails its checksum.
-        A persisted cache recorded under a different ``detector_tag`` is
-        rejected with a plain ``ValueError``: fingerprints are
-        detector-agnostic but scores are not, and silently replaying
-        them would corrupt a scan.
+        Raises :class:`~repro.durable.CorruptFile` when the file is
+        corrupt, truncated, carries another schema, or fails its
+        checksum.  A persisted cache recorded under a different
+        ``detector_tag`` is rejected with a plain ``ValueError``:
+        fingerprints are detector-agnostic but scores are not, and
+        silently replaying them would corrupt a scan.
 
         Entries load in least-to-most-recently-used order; when the file
         holds more than ``max_entries`` only the most-recent tail is
         kept, and counters start clean either way (bulk-loading is not
         cache activity, so it must not inflate ``evictions``).
         """
-        path = Path(path)
-        try:
-            tag, scores, schema, checksum = cls._read_payload(path)
-        except FileNotFoundError:
-            raise
-        except (
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-            zipfile.BadZipFile,
-            EOFError,
-            OSError,
-            ValueError,
-            KeyError,
-            TypeError,
-        ) as exc:
-            raise CacheIntegrityError(
-                f"cache at {path} is corrupt or unreadable: {exc}"
-            ) from exc
-        if not isinstance(schema, int) or not 1 <= schema <= CACHE_SCHEMA:
-            raise CacheIntegrityError(
-                f"cache at {path} has unsupported schema {schema!r} "
-                f"(this build reads 1..{CACHE_SCHEMA})"
-            )
-        if schema >= 2:
-            if checksum != _scores_checksum(tag, scores):
-                raise CacheIntegrityError(
-                    f"cache at {path} failed its checksum "
-                    "(partial write or bit rot)"
-                )
+        payload = load_json(path, (CACHE_SCHEMA,))
+        tag = payload["detector"]
         if detector_tag and tag and tag != detector_tag:
             raise ValueError(
                 f"cache at {path} was built by detector {tag!r}, "
                 f"refusing to reuse it for {detector_tag!r}"
             )
         cache = cls(max_entries=max_entries, detector_tag=detector_tag or tag)
-        items = list(scores.items())
+        items = list(payload["scores"].items())
         if len(items) > max_entries:
             items = items[-max_entries:]
         for fp, score in items:
@@ -288,18 +191,16 @@ class ScoreCache:
         error, not corruption.
         """
         path = cls.dir_path(directory)
-        if path.exists():
-            try:
-                return cls.load(
-                    path, max_entries=max_entries, detector_tag=detector_tag
-                )
-            except CacheIntegrityError:
-                quarantined = path.with_name(path.name + ".quarantined")
-                os.replace(path, quarantined)
-                cache = cls(max_entries=max_entries, detector_tag=detector_tag)
-                cache.quarantined_from = quarantined
-                return cache
-        return cls(max_entries=max_entries, detector_tag=detector_tag)
+        try:
+            return cls.load(
+                path, max_entries=max_entries, detector_tag=detector_tag
+            )
+        except FileNotFoundError:
+            return cls(max_entries=max_entries, detector_tag=detector_tag)
+        except CorruptFile:
+            cache = cls(max_entries=max_entries, detector_tag=detector_tag)
+            cache.quarantined_from = quarantine_file(path)
+            return cache
 
     @staticmethod
     def dir_path(directory: PathLike) -> Path:

@@ -24,7 +24,6 @@ the property the dedup cache and the worker pool both rely on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,13 +34,15 @@ import numpy as np
 from ..contracts import shaped
 from ..core.detector import Detector, FitReport
 from ..data.dataset import ClipDataset
+from ..durable import dump_json, load_json
 from ..geometry.layout import Clip
 from .trace import NULL_TRACER
 
 PathLike = Union[str, Path]
 
-#: bump when the persisted tuning layout changes incompatibly
-TUNING_SCHEMA = 1
+#: bump when the persisted tuning layout changes incompatibly (2: the
+#: repro.durable checksum; schema-1 files still load, unverified)
+TUNING_SCHEMA = 2
 
 
 @dataclass
@@ -295,23 +296,13 @@ class CascadeTuning:
         }
 
     def save(self, path: PathLike) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        return path
+        return dump_json(path, self.as_dict())
 
     @classmethod
     def load(cls, path: PathLike) -> "CascadeTuning":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        schema = payload.pop("schema", None)
-        if schema != TUNING_SCHEMA:
-            raise ValueError(
-                f"unsupported cascade tuning schema {schema!r} "
-                f"(expected {TUNING_SCHEMA})"
-            )
+        """Read a :meth:`save` file; schema 1 (pre-checksum) unverified."""
+        payload = load_json(path, (TUNING_SCHEMA,), unverified=(1,))
+        del payload["schema"]
         payload["sweep"] = tuple(
             (float(c), float(s), int(m)) for c, s, m in payload["sweep"]
         )

@@ -3,8 +3,8 @@
 A chip-scale scan is an hours-long pure computation over a deterministic
 window enumeration, which makes it ideal checkpoint material: progress
 is fully described by *which chunks have been scored* plus their score
-values.  :class:`Checkpointer` persists exactly that, atomically
-(tmp-file + ``os.replace``), every ``every_chunks`` scored chunks, and
+values.  :class:`Checkpointer` persists exactly that, atomically, every
+``every_chunks`` scored chunks, and
 :meth:`ScanEngine.scan(..., resume=True)
 <repro.runtime.engine.ScanEngine.scan>` replays a saved prefix so the
 continued scan produces a report byte-identical to an uninterrupted run.
@@ -19,30 +19,30 @@ Two progress models, matching the engine's two scan modes:
   re-runs the cheap fingerprint phase (deterministic), marks the stored
   fingerprints as already scored, and only scores the remainder.
 
-The checkpoint is one ``.npz`` file carrying a **manifest** (schema
-version, detector tag, scan-config hash) and a BLAKE2 **checksum** of
-the payload.  A resume against a different config or detector is
-refused (:class:`CheckpointMismatch`); a corrupt or truncated file is
-quarantined (renamed ``*.quarantined``) and the scan restarts from
-scratch rather than crashing or silently mis-resuming.
+The checkpoint is one checksummed :mod:`repro.durable` npz carrying a
+**manifest** (schema version, detector tag, scan-config hash).  A
+resume against a different config or detector is refused
+(:class:`CheckpointMismatch`); a corrupt, truncated or older-schema
+file is quarantined (renamed ``*.quarantined``) and the scan restarts
+from scratch rather than crashing or silently mis-resuming.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import zipfile
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from ..durable import CorruptFile, dump_npz, load_npz, quarantine_file
 from .telemetry import Telemetry
 from .trace import NULL_TRACER
 
-#: bump when the checkpoint layout changes incompatibly
-CHECKPOINT_SCHEMA = 1
+#: bump when the checkpoint layout changes incompatibly (2: the
+#: repro.durable checksum; an older checkpoint restarts the scan)
+CHECKPOINT_SCHEMA = 2
 
 CHECKPOINT_NAME = "scan-checkpoint.npz"
 
@@ -63,34 +63,6 @@ def scan_config_hash(**fields) -> str:
     """
     canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
-
-
-def _payload_checksum(
-    config_hash: str,
-    detector_tag: str,
-    mode: str,
-    chunk_sizes: np.ndarray,
-    scores: np.ndarray,
-    fingerprints: List[str],
-    fp_scores: np.ndarray,
-) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(config_hash.encode())
-    h.update(detector_tag.encode())
-    h.update(mode.encode())
-    h.update(np.ascontiguousarray(chunk_sizes, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(scores, dtype=np.float64).tobytes())
-    h.update("\0".join(fingerprints).encode())
-    h.update(np.ascontiguousarray(fp_scores, dtype=np.float64).tobytes())
-    return h.hexdigest()
-
-
-def quarantine_file(path: PathLike) -> Path:
-    """Move a corrupt file aside (never delete evidence) and return it."""
-    path = Path(path)
-    target = path.with_name(path.name + ".quarantined")
-    os.replace(path, target)
-    return target
 
 
 class Checkpointer:
@@ -152,31 +124,16 @@ class Checkpointer:
         :class:`CheckpointMismatch` — silently rescanning would be
         surprising, mis-resuming would be wrong.
         """
-        if not self.path.exists():
-            return False
         try:
-            with np.load(self.path, allow_pickle=False) as data:
-                schema = int(data["schema"])
-                if schema != CHECKPOINT_SCHEMA:
-                    raise ValueError(f"unsupported schema {schema}")
-                config_hash = str(data["config_hash"])
-                detector_tag = str(data["detector_tag"])
-                mode = str(data["mode"])
-                chunk_sizes = np.asarray(data["chunk_sizes"], dtype=np.int64)
-                scores = np.asarray(data["scores"], dtype=np.float64)
-                fingerprints = [str(fp) for fp in data["fingerprints"]]
-                fp_scores = np.asarray(data["fp_scores"], dtype=np.float64)
-                checksum = str(data["checksum"])
-        except (zipfile.BadZipFile, OSError, EOFError, ValueError, KeyError):
+            data = load_npz(self.path, (CHECKPOINT_SCHEMA,))
+        except FileNotFoundError:
+            return False
+        except CorruptFile:
             self._quarantine()
             return False
-        expected = _payload_checksum(
-            config_hash, detector_tag, mode, chunk_sizes, scores,
-            fingerprints, fp_scores,
-        )
-        if checksum != expected:
-            self._quarantine()
-            return False
+        config_hash = str(data["config_hash"])
+        detector_tag = str(data["detector_tag"])
+        mode = str(data["mode"])
         if config_hash != self.config_hash:
             raise CheckpointMismatch(
                 f"checkpoint at {self.path} was written by a different scan "
@@ -189,14 +146,14 @@ class Checkpointer:
                 f"{detector_tag!r} in {mode!r} mode, not "
                 f"{self.detector_tag!r}/{self.mode!r}"
             )
-        self._chunk_sizes = [int(n) for n in chunk_sizes]
-        offsets = np.concatenate(([0], np.cumsum(chunk_sizes)))
+        self._chunk_sizes = [int(n) for n in data["chunk_sizes"]]
+        offsets = np.concatenate(([0], np.cumsum(data["chunk_sizes"])))
         self._score_parts = [
-            scores[offsets[i] : offsets[i + 1]]
+            data["scores"][offsets[i] : offsets[i + 1]]
             for i in range(len(self._chunk_sizes))
         ]
         self._fp_scores = dict(
-            zip(fingerprints, (float(s) for s in fp_scores))
+            zip(map(str, data["fingerprints"]), map(float, data["fp_scores"]))
         )
         self._replay_sizes = list(self._chunk_sizes)
         self._replay_parts = list(self._score_parts)
@@ -267,36 +224,21 @@ class Checkpointer:
     def save(self) -> Path:
         """Atomically rewrite the checkpoint file with current progress."""
         self._chunks_since_save = 0
-        chunk_sizes = np.asarray(self._chunk_sizes, dtype=np.int64)
-        scores = (
-            np.concatenate(self._score_parts)
-            if self._score_parts
-            else np.empty(0, dtype=np.float64)
+        dump_npz(
+            self.path,
+            {
+                "schema": CHECKPOINT_SCHEMA,
+                "config_hash": self.config_hash,
+                "detector_tag": self.detector_tag,
+                "mode": self.mode,
+                "chunk_sizes": np.asarray(self._chunk_sizes, dtype=np.int64),
+                "scores": np.concatenate([np.empty(0), *self._score_parts]),
+                "fingerprints": np.array(list(self._fp_scores), dtype=np.str_),
+                "fp_scores": np.asarray(
+                    list(self._fp_scores.values()), dtype=np.float64
+                ),
+            },
         )
-        fingerprints = list(self._fp_scores)
-        fp_scores = np.asarray(
-            list(self._fp_scores.values()), dtype=np.float64
-        )
-        checksum = _payload_checksum(
-            self.config_hash, self.detector_tag, self.mode, chunk_sizes,
-            scores, fingerprints, fp_scores,
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                schema=np.array(CHECKPOINT_SCHEMA),
-                config_hash=np.array(self.config_hash),
-                detector_tag=np.array(self.detector_tag),
-                mode=np.array(self.mode),
-                chunk_sizes=chunk_sizes,
-                scores=scores,
-                fingerprints=np.array(fingerprints, dtype=np.str_),
-                fp_scores=fp_scores,
-                checksum=np.array(checksum),
-            )
-        os.replace(tmp, self.path)
         self.telemetry.count("checkpoint_saves")
         self.tracer.event(
             "checkpoint_save",

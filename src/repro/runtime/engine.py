@@ -169,7 +169,11 @@ class ScanReport(ScanResult):
         wire size.  Keys are sorted, so ``from_json`` → ``to_json``
         round-trips byte-identically.
         """
-        payload = {
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON-ready payload of :meth:`to_json`."""
+        return {
             "schema": REPORT_SCHEMA,
             "scan_path": self.scan_path,
             "shard_id": None if self.shard_id is None else int(self.shard_id),
@@ -197,11 +201,15 @@ class ScanReport(ScanResult):
                 else self.cascade_stats.as_dict()
             ),
         }
-        return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, document: str) -> "ScanReport":
-        """Rebuild a report serialized by :meth:`to_json`.
+        """Rebuild a report serialized by :meth:`to_json`."""
+        return cls.from_dict(json.loads(document))
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "ScanReport":
+        """Rebuild a report from its :meth:`to_dict` payload.
 
         Schema-1 documents (pre shard provenance) migrate forward: the
         ``shard_id`` / ``plan_digest`` fields default to None, so a
@@ -209,7 +217,6 @@ class ScanReport(ScanResult):
         Documents from a *newer* schema are refused; the rebuilt report
         has empty ``clips`` / ``flagged_windows`` (see :meth:`to_json`).
         """
-        payload = json.loads(document)
         schema = payload.get("schema")
         if schema not in (1, REPORT_SCHEMA):
             raise ValueError(

@@ -42,7 +42,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,9 +51,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..durable import (
+    CorruptFile,
+    dump_json,
+    dump_npz,
+    load_json,
+    load_npz,
+    quarantine_file,
+)
 from ..geometry import Layer, Layout, Rect, extract_clip, region_fingerprint
 from .config import EngineConfig
-from .engine import ScanEngine, ScanReport, detector_tag
+from .engine import REPORT_SCHEMA, ScanEngine, ScanReport, detector_tag
 from .metrics import export_metrics
 from .telemetry import Telemetry
 
@@ -63,8 +70,9 @@ PathLike = Union[str, Path]
 #: bump when the ShardPlan JSON layout changes incompatibly
 PLAN_SCHEMA = 1
 
-#: bump when the chip manifest layout changes incompatibly
-MANIFEST_SCHEMA = 1
+#: bump when the chip manifest layout changes incompatibly (2: the
+#: repro.durable checksum; an older manifest is refused as corrupt)
+MANIFEST_SCHEMA = 2
 
 #: the fingerprint→score manifest written next to the checkpoint
 MANIFEST_NAME = "chip-manifest.npz"
@@ -558,8 +566,9 @@ def merge_reports(
 class ChipManifest:
     """Persisted fingerprint→score state of one completed chip scan.
 
-    One compressed npz next to the checkpoint: the plan digest and
-    detector identity pin what the stored scores mean; per shard it
+    One checksummed npz (:func:`repro.durable.dump_npz`) next to the
+    checkpoint: the plan digest and detector identity pin what the
+    stored scores mean; per shard it
     keeps the halo-region fingerprint plus the scanned score/flag
     arrays (and confirmed verdicts, folded per window as ``-1`` /
     ``0`` / ``1``).  A re-scan replays every shard whose current
@@ -579,9 +588,9 @@ class ChipManifest:
     conf: List[np.ndarray]
 
     def save(self, path: PathLike) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        meta = json.dumps(
+        offsets = np.cumsum([0] + [len(s) for s in self.scores])
+        return dump_npz(
+            path,
             {
                 "schema": MANIFEST_SCHEMA,
                 "plan_digest": self.plan_digest,
@@ -589,66 +598,41 @@ class ChipManifest:
                 "threshold": self.threshold,
                 "scan_path": self.scan_path,
                 "has_confirmed": self.has_confirmed,
+                "fingerprints": np.array(self.fingerprints, dtype=np.str_),
+                "offsets": offsets.astype(np.int64),
+                "scores": np.concatenate([np.zeros(0), *self.scores]),
+                "flags": np.concatenate([np.zeros(0, bool), *self.flags]),
+                "conf": np.concatenate([np.zeros(0, np.int8), *self.conf]),
             },
-            sort_keys=True,
         )
-        offsets = np.cumsum([0] + [len(s) for s in self.scores])
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                meta=np.array(meta),
-                fingerprints=np.array(self.fingerprints),
-                offsets=offsets.astype(np.int64),
-                scores=np.concatenate(self.scores)
-                if self.scores
-                else np.zeros(0),
-                flags=np.concatenate(self.flags)
-                if self.flags
-                else np.zeros(0, dtype=bool),
-                conf=np.concatenate(self.conf)
-                if self.conf
-                else np.zeros(0, dtype=np.int8),
-            )
-        os.replace(tmp, path)
-        return path
 
     @classmethod
     def load(cls, path: PathLike) -> "ChipManifest":
+        """Read a manifest file (or ``MANIFEST_NAME`` in a directory).
+
+        A damaged or older-schema manifest raises
+        :class:`~repro.durable.CorruptFile`, a ``ValueError``.
+        """
         path = Path(path)
         if path.is_dir():
             path = path / MANIFEST_NAME
-        if not path.exists():
-            raise FileNotFoundError(f"no chip manifest at {path}")
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("schema") != MANIFEST_SCHEMA:
-                raise ValueError(
-                    f"unsupported chip manifest schema "
-                    f"{meta.get('schema')!r} (this build reads "
-                    f"{MANIFEST_SCHEMA})"
-                )
-            offsets = data["offsets"]
-            scores = data["scores"]
-            flags = data["flags"]
-            conf = data["conf"]
-            per_scores, per_flags, per_conf = [], [], []
-            for i in range(len(offsets) - 1):
-                lo, hi = int(offsets[i]), int(offsets[i + 1])
-                per_scores.append(scores[lo:hi].astype(np.float64))
-                per_flags.append(flags[lo:hi].astype(bool))
-                per_conf.append(conf[lo:hi].astype(np.int8))
-            return cls(
-                plan_digest=str(meta["plan_digest"]),
-                detector=str(meta["detector"]),
-                threshold=float(meta["threshold"]),
-                scan_path=str(meta["scan_path"]),
-                has_confirmed=bool(meta["has_confirmed"]),
-                fingerprints=[str(f) for f in data["fingerprints"]],
-                scores=per_scores,
-                flags=per_flags,
-                conf=per_conf,
-            )
+        try:
+            data = load_npz(path, (MANIFEST_SCHEMA,))
+        except FileNotFoundError:
+            raise FileNotFoundError(f"no chip manifest at {path}") from None
+        offsets = data["offsets"]
+        bounds = list(zip(offsets[:-1], offsets[1:]))
+        return cls(
+            plan_digest=str(data["plan_digest"]),
+            detector=str(data["detector"]),
+            threshold=float(data["threshold"]),
+            scan_path=str(data["scan_path"]),
+            has_confirmed=bool(data["has_confirmed"]),
+            fingerprints=[str(f) for f in data["fingerprints"]],
+            scores=[data["scores"][lo:hi] for lo, hi in bounds],
+            flags=[data["flags"][lo:hi] for lo, hi in bounds],
+            conf=[data["conf"][lo:hi] for lo, hi in bounds],
+        )
 
     def validate_for(
         self, plan: ShardPlan, detector: str, threshold: float
@@ -750,14 +734,15 @@ class ShardRunner:
         if resume and root is not None and not single:
             for i, spec in enumerate(plan.shards):
                 path = self._report_path(root, spec)
-                if not path.exists():
-                    continue
                 try:
-                    rep = ScanReport.from_json(
-                        path.read_text(encoding="utf-8")
+                    rep = ScanReport.from_dict(
+                        load_json(path, (REPORT_SCHEMA,))
                     )
-                except (ValueError, OSError):
-                    continue  # corrupt partial write: re-scan this shard
+                except FileNotFoundError:
+                    continue
+                except CorruptFile:
+                    quarantine_file(path)
+                    continue  # re-scan this shard
                 if rep.plan_digest == plan.digest and rep.shard_id == i:
                     reports[i] = rep
                     tele.count("shard_resumed")
@@ -965,10 +950,7 @@ class ShardRunner:
             rep.plan_digest = plan.digest
             reports[i] = rep
             if root is not None and not single:
-                path = self._report_path(root, spec)
-                tmp = path.with_name(path.name + ".tmp")
-                tmp.write_text(rep.to_json() + "\n", encoding="utf-8")
-                os.replace(tmp, path)
+                dump_json(self._report_path(root, spec), rep.to_dict())
             self._progress(spec.shard_id, "scanned", reports, n_shards)
 
         workers = min(self.config.chip.shard_workers, len(to_scan))

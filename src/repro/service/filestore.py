@@ -2,19 +2,22 @@
 
 One directory tree per service instance::
 
-    <root>/jobs/<job_id>.json          job records (atomic writes)
-    <root>/queue/<seq>-<job_id>.entry  pending dispatch order
-    <root>/results/<job_id>.report.json + <job_id>.metrics.json
+    <root>/jobs/<job_id>.json            job records
+    <root>/queue/<seq>-<job_id>.entry    pending dispatch order
+    <root>/results/<job_id>.result.json  verbatim report + metrics
 
-Durability rules, matching the PR-4 cache/checkpoint conventions:
+Durability rules, shared with every persisted format through
+:mod:`repro.durable`:
 
-* every write is **atomic** — tmp file in the same directory, then
-  ``os.replace``; a crash mid-write never leaves a half-record visible,
-* a truncated or corrupt entry found on read is **quarantined**
-  (renamed ``*.quarantined`` via
-  :func:`repro.runtime.quarantine_file`) and reported through the
-  adapter's ``on_quarantine`` hook instead of crashing the fleet —
-  evidence is preserved, service keeps running,
+* every write is **atomic**; a crash mid-write never leaves a
+  half-record visible,
+* records and results are checksummed; a truncated, damaged or
+  unknown-schema entry found on read is **quarantined** (renamed
+  ``*.quarantined``) and reported through the adapter's
+  ``on_quarantine`` hook instead of crashing the fleet — evidence is
+  preserved, service keeps running,
+* records and results written before they were checksummed still
+  load, unverified, so a new build can take over an old state dir,
 * queue entries are *hints*, not truth: :meth:`JobManager.recover
   <repro.service.manager.JobManager.recover>` rebuilds the queue from
   the job store after a restart, so a crash between queue-pop and
@@ -23,15 +26,19 @@ Durability rules, matching the PR-4 cache/checkpoint conventions:
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, List, Optional, Union
 
-from ..runtime import quarantine_file
-from .jobs import JobRecord
+from ..durable import (
+    CorruptFile,
+    dump_json,
+    load_json,
+    quarantine_file,
+    write_atomic,
+)
+from .jobs import JOB_SCHEMA, JobRecord
 from .ports import (
     JobNotFound,
     JobQueue,
@@ -45,12 +52,14 @@ PathLike = Union[str, Path]
 #: signature of the corrupt-entry hook: (kind, quarantined_path)
 QuarantineHook = Callable[[str, Path], None]
 
+#: bump when the result file layout changes incompatibly
+RESULT_SCHEMA = 1
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+
+def _quarantine(path: Path, kind: str, hook: Optional[QuarantineHook]) -> None:
+    quarantined = quarantine_file(path)
+    if hook is not None:
+        hook(kind, quarantined)
 
 
 class FileJobStore(JobStore):
@@ -71,22 +80,19 @@ class FileJobStore(JobStore):
         """Parse one record file; quarantine instead of raising on junk."""
         try:
             return JobRecord.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))
+                load_json(path, (JOB_SCHEMA,), unverified=(1, 2))
             )
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            quarantined = quarantine_file(path)
-            if self.on_quarantine is not None:
-                self.on_quarantine("job", quarantined)
+        except (KeyError, TypeError, ValueError):
+            # CorruptFile is a ValueError; the others come from an
+            # unverified schema-1/2 record that from_dict cannot parse
+            _quarantine(path, "job", self.on_quarantine)
             return None
 
     def put(self, record: JobRecord) -> None:
         with self._lock:
-            _atomic_write_text(
-                self._path(record.job_id),
-                json.dumps(record.to_dict(), sort_keys=True),
-            )
+            dump_json(self._path(record.job_id), record.to_dict())
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:
@@ -153,7 +159,7 @@ class FileJobQueue(JobQueue):
         with self._lock:
             path = self.dir / f"{self._seq:020d}-{job_id}.entry"
             self._seq += 1
-            _atomic_write_text(path, "")
+            write_atomic(path, b"")
             self._lock.notify()
 
     def pop(self, timeout: Optional[float] = None) -> Optional[str]:
@@ -186,11 +192,12 @@ class FileJobQueue(JobQueue):
 
 
 class FileResultStore(ResultStore):
-    """Report document + metrics snapshot under ``<root>/results/``.
+    """One checksummed ``<job_id>.result.json`` per finished job.
 
     The report is stored **verbatim** (the exact ``ScanReport.to_json``
-    string) so a fetched result is byte-identical to what the worker
-    produced; the metrics snapshot is a sibling JSON document.
+    string, as one JSON string field) so a fetched result is
+    byte-identical to what the worker produced; the metrics snapshot
+    sits beside it in the same document.
     """
 
     def __init__(
@@ -201,52 +208,63 @@ class FileResultStore(ResultStore):
         self.on_quarantine = on_quarantine
         self._lock = threading.RLock()
 
-    def _report_path(self, job_id: str) -> Path:
-        return self.dir / f"{job_id}.report.json"
-
-    def _metrics_path(self, job_id: str) -> Path:
-        return self.dir / f"{job_id}.metrics.json"
+    def _path(self, job_id: str, kind: str = "result") -> Path:
+        return self.dir / f"{job_id}.{kind}.json"
 
     def put(self, result: StoredResult) -> None:
         with self._lock:
-            _atomic_write_text(self._report_path(result.job_id), result.document)
-            _atomic_write_text(
-                self._metrics_path(result.job_id),
-                json.dumps(result.metrics, sort_keys=True),
+            dump_json(
+                self._path(result.job_id),
+                {
+                    "schema": RESULT_SCHEMA,
+                    "document": result.document,
+                    "metrics": result.metrics,
+                },
             )
 
     def get(self, job_id: str) -> Optional[StoredResult]:
         with self._lock:
-            report_path = self._report_path(job_id)
+            path = self._path(job_id)
             try:
-                document = report_path.read_text(encoding="utf-8")
+                stored = load_json(path, (RESULT_SCHEMA,))
             except FileNotFoundError:
+                return self._get_unverified(job_id)
+            except CorruptFile:
+                _quarantine(path, "result", self.on_quarantine)
                 return None
-            metrics: Dict[str, object] = {}
-            metrics_path = self._metrics_path(job_id)
-            try:
-                metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                pass
-            except json.JSONDecodeError:
-                quarantined = quarantine_file(metrics_path)
-                if self.on_quarantine is not None:
-                    self.on_quarantine("metrics", quarantined)
-            # the report document must itself be valid JSON; a truncated
-            # write (crash, disk-full) is quarantined like a bad cache
-            try:
-                json.loads(document)
-            except json.JSONDecodeError:
-                quarantined = quarantine_file(report_path)
-                if self.on_quarantine is not None:
-                    self.on_quarantine("result", quarantined)
-                return None
-            return StoredResult(job_id=job_id, document=document, metrics=metrics)
+            return StoredResult(
+                job_id=job_id,
+                document=stored["document"],
+                metrics=stored["metrics"],
+            )
+
+    def _get_unverified(self, job_id: str) -> Optional[StoredResult]:
+        """A result written before results were checksummed: the
+        verbatim ``.report.json`` (report schema 1 or 2) beside its
+        ``.metrics.json`` (metrics schema 1)."""
+        report = self._path(job_id, "report")
+        try:
+            load_json(report, (), unverified=(1, 2))
+            document = report.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return None
+        except CorruptFile:
+            _quarantine(report, "result", self.on_quarantine)
+            return None
+        metrics, snapshot = self._path(job_id, "metrics"), {}
+        try:
+            snapshot = load_json(metrics, (), unverified=(1,))
+        except FileNotFoundError:
+            pass
+        except CorruptFile:
+            _quarantine(metrics, "metrics", self.on_quarantine)
+        return StoredResult(job_id=job_id, document=document, metrics=snapshot)
 
     def delete(self, job_id: str) -> bool:
         with self._lock:
             removed = False
-            for path in (self._report_path(job_id), self._metrics_path(job_id)):
+            for kind in ("result", "report", "metrics"):
+                path = self._path(job_id, kind)
                 if path.exists():
                     path.unlink()
                     removed = True

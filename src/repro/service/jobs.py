@@ -54,8 +54,9 @@ import uuid
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional, Tuple
 
-#: bump when the JobRecord dict layout changes incompatibly
-JOB_SCHEMA = 2
+#: bump when the JobRecord dict layout changes incompatibly (3: file
+#: stores checksum the record; the fields are those of schema 2)
+JOB_SCHEMA = 3
 
 #: longest error chain a record keeps (oldest entries drop first)
 MAX_ERROR_CHAIN = 20
@@ -261,7 +262,7 @@ class JobRecord:
         reinterpretation, is the correct response.
         """
         schema = payload.get("schema")
-        if schema not in (1, JOB_SCHEMA):
+        if schema not in (1, 2, JOB_SCHEMA):
             raise ValueError(
                 f"unsupported JobRecord schema {schema!r} "
                 f"(this build reads 1..{JOB_SCHEMA})"

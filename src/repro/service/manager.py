@@ -151,7 +151,8 @@ class JobManager:
     ----------
     store, queue, results:
         The three storage ports (in-memory or file-backed adapters, or
-        anything else honouring the port contracts).
+        anything else honouring the port contracts).  A port with an
+        unset ``on_quarantine`` hook gets :meth:`on_quarantine`.
     rate_limiter:
         Per-client admission control for :meth:`submit` (HTTP 429);
         default admits everything.
@@ -221,6 +222,10 @@ class JobManager:
         self._scan_aggregate: Dict[str, int] = {}
         self._draining = threading.Event()
         self._reaper: Optional[LeaseReaper] = None
+        # file adapters report quarantined entries through this hook
+        for port in (store, queue, results):
+            if getattr(port, "on_quarantine", False) is None:
+                port.on_quarantine = self.on_quarantine
 
     @classmethod
     def in_memory(cls, **kwargs) -> "JobManager":

@@ -86,7 +86,7 @@ class TestScoreCache:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("name", ["cache.json", "cache.npz"])
+    @pytest.mark.parametrize("name", ["cache.json"])
     def test_round_trip(self, tmp_path, name):
         cache = ScoreCache(detector_tag="cnn-dct")
         cache.put("fp1", 0.25)
@@ -122,7 +122,7 @@ class TestHardening:
             cache.put(f"fp{i}", i / 10.0)
         return cache.save(tmp_path / name)
 
-    @pytest.mark.parametrize("name", ["cache.json", "cache.npz"])
+    @pytest.mark.parametrize("name", ["cache.json"])
     def test_truncated_file_raises_integrity_error(self, tmp_path, name):
         from repro.runtime import CacheIntegrityError
 
@@ -154,16 +154,6 @@ class TestHardening:
         path.write_text(json.dumps(payload))
         with pytest.raises(CacheIntegrityError, match="schema"):
             ScoreCache.load(path, detector_tag="d")
-
-    def test_legacy_schema1_file_loads(self, tmp_path):
-        import json
-
-        path = tmp_path / "cache.json"
-        path.write_text(
-            json.dumps({"detector": "d", "scores": {"fp": 0.5}})
-        )
-        loaded = ScoreCache.load(path, detector_tag="d")
-        assert loaded.get("fp") == pytest.approx(0.5)
 
     def test_tag_mismatch_is_not_integrity_error(self, tmp_path):
         from repro.runtime import CacheIntegrityError
@@ -206,7 +196,7 @@ class TestHardening:
         assert loaded.get("fp9") == pytest.approx(0.9)
         assert loaded.get("fp5") is None
 
-    @pytest.mark.parametrize("name", ["cache.json", "cache.npz"])
+    @pytest.mark.parametrize("name", ["cache.json"])
     def test_save_is_atomic_no_tmp_residue(self, tmp_path, name):
         self._saved(tmp_path, name)
         leftovers = [p.name for p in tmp_path.iterdir()]

@@ -178,7 +178,7 @@ class TestFileDurability:
             tmp_path, on_quarantine=lambda kind, p: seen.append(kind)
         )
         results.put(StoredResult(job_id="j1", document="{}", metrics={}))
-        (tmp_path / "results" / "j1.report.json").write_text('{"trunc')
+        (tmp_path / "results" / "j1.result.json").write_text('{"trunc')
         assert results.get("j1") is None
         assert list((tmp_path / "results").glob("*.quarantined"))
         assert seen == ["result"]

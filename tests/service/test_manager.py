@@ -271,6 +271,16 @@ class TestRecovery:
             checkpoint_root=tmp_path / "ckpt",
         )
 
+    def test_manager_counts_quarantined_file_entries(
+        self, tmp_path, request_payload
+    ):
+        """The hook needs no wiring: a library-built manager counts too."""
+        manager = self.make_file_manager(tmp_path)
+        record = manager.submit(request_payload)
+        (tmp_path / "jobs" / f"{record.job_id}.json").write_text('{"sch')
+        assert manager.list_jobs() == []
+        assert manager.telemetry.counters["service_entry_quarantined"] == 1
+
     def test_recover_replays_queued_and_running_exactly_once(
         self, tmp_path, request_payload
     ):

@@ -418,6 +418,37 @@ class TestScanChipSharding:
         assert code == 2
         assert "no chip manifest" in capsys.readouterr().err
 
+    def test_corrupt_rescan_manifest_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import numpy as np
+
+        from repro.runtime import ChipManifest
+
+        manifest = ChipManifest(
+            plan_digest="p",
+            detector="logistic-density",
+            threshold=0.5,
+            scan_path="clip",
+            has_confirmed=False,
+            fingerprints=["f"],
+            scores=[np.array([0.25])],
+            flags=[np.array([False])],
+            conf=[np.array([-1], dtype=np.int8)],
+        ).save(tmp_path / "chip.npz")
+        raw = manifest.read_bytes()
+        manifest.write_bytes(raw[: len(raw) // 2])
+        code = self._scan(
+            tmp_path,
+            monkeypatch,
+            tmp_path / "r.json",
+            ["--shards", "4", "--rescan-from", str(manifest)],
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "chip.npz is unreadable" in err
+        assert "Traceback" not in err
+
 
 class TestScanChipObservability:
     """End-to-end: --trace-dir / --metrics-out / --progress / --report-json."""
