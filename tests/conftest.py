@@ -25,27 +25,39 @@ def clip_from_rects(rects, tag="test") -> Clip:
     return extract_clip(layer, CENTER, WINDOW, CORE, tag=tag)
 
 
-@pytest.fixture
-def grating_clip() -> Clip:
+def make_grating_clip() -> Clip:
     """Comfortable 64/128 vertical grating through the window."""
     rects = [Rect(88 + i * 128, 100, 88 + i * 128 + 64, 1100) for i in range(8)]
     return clip_from_rects(rects, tag="grating")
 
 
-@pytest.fixture
-def tip_pair_clip() -> Clip:
+def make_tip_pair_clip() -> Clip:
     """Two wires facing tip-to-tip with a 64 nm gap at the center."""
     return clip_from_rects(
         [Rect(96, 568, 568, 632), Rect(632, 568, 1104, 632)], tag="tips"
     )
 
 
-@pytest.fixture
-def empty_clip() -> Clip:
+def make_empty_clip() -> Clip:
     """A clip with no shapes at all."""
     window = Rect(0, 0, WINDOW, WINDOW)
     core = Rect.from_center(WINDOW // 2, WINDOW // 2, CORE, CORE)
     return Clip(window=window, core=core, rects=(), tag="empty")
+
+
+@pytest.fixture
+def grating_clip() -> Clip:
+    return make_grating_clip()
+
+
+@pytest.fixture
+def tip_pair_clip() -> Clip:
+    return make_tip_pair_clip()
+
+
+@pytest.fixture
+def empty_clip() -> Clip:
+    return make_empty_clip()
 
 
 def synthetic_labeled_clips(rng: np.random.Generator, n: int = 40):
