@@ -13,6 +13,8 @@ tests to verify the encoding is the DCT it claims to be.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy import fft as spfft
 
@@ -74,7 +76,9 @@ def feature_tensor(raster: np.ndarray, block: int, keep: int) -> np.ndarray:
 
 
 _DCT_MATS: dict = {}
-_BATCH_BUFFERS: dict = {}
+# scratch arrays of feature_tensor_batch, one set per thread: sharded and
+# served scans extract features on several threads at once
+_BATCH_BUFFERS = threading.local()
 
 
 def _truncated_dct_matrix(block: int, keep: int) -> np.ndarray:
@@ -109,7 +113,8 @@ def feature_tensor_batch(
     DCT matrix — only the ``keep`` coefficients that survive are ever
     computed, and the intermediates live in persistent per-shape buffers
     reused across raster batches (the batched hot path of the
-    raster-plane scan allocates nothing per call at steady state).
+    raster-plane scan allocates nothing per call at steady state).  Each
+    thread has its own buffers, so concurrent calls do not mix.
     Matches :func:`feature_tensor`'s ``spfft.dctn`` to ~1e-15.
     """
     if rasters.ndim != 3:
@@ -127,12 +132,15 @@ def feature_tensor_batch(
         n, gh, block, gw, block
     )
 
+    buffers = getattr(_BATCH_BUFFERS, "by_shape", None)
+    if buffers is None:
+        buffers = _BATCH_BUFFERS.by_shape = {}
+
     def buf(tag, shape):
         key = (tag, shape)
-        b = _BATCH_BUFFERS.get(key)
+        b = buffers.get(key)
         if b is None:
-            b = np.empty(shape, dtype=np.float64)
-            _BATCH_BUFFERS[key] = b
+            b = buffers[key] = np.empty(shape, dtype=np.float64)
         return b
 
     # contract the width axis, then the height axis, keeping only the

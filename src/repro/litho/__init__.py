@@ -17,6 +17,8 @@ The stack mirrors a production flow in miniature:
 
 from .analysis import (
     Defect,
+    DesignState,
+    EdgeProbes,
     EdgeSite,
     design_components,
     find_bridges,
@@ -43,6 +45,8 @@ __all__ = [
     "print_image",
     "printed_components",
     "Defect",
+    "DesignState",
+    "EdgeProbes",
     "EdgeSite",
     "design_components",
     "find_bridges",

@@ -19,8 +19,8 @@ detector ignores tip zones (tip rounding is not a neck).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
@@ -30,6 +30,8 @@ from ..geometry.rasterize import core_slice, rasterize_clip
 from ..geometry.rect import Rect
 from .analysis import (
     Defect,
+    DesignState,
+    EdgeProbes,
     EdgeSite,
     design_components,
     find_bridges,
@@ -268,10 +270,10 @@ def edge_sites_for_clip(
                 t_nm = lo + (k + 0.5) * length / n_samples
                 t_idx = t_nm / pixel_nm - 0.5
                 row, col = _edge_index_coords(orientation, fixed_idx, t_idx)
-                if not _is_exterior(design, fixed, t_nm, orientation, normal, pixel_nm):
-                    continue  # interior edge (another rect on the far side)
                 if not (r_lo <= row <= r_hi and c_lo <= col <= c_hi):
                     continue
+                if not _is_exterior(design, fixed, t_nm, orientation, normal, pixel_nm):
+                    continue  # interior edge (another rect on the far side)
                 if not is_cap:
                     if _point_in_zones(t_nm, fixed, orientation, tip_zones):
                         continue  # side site inside a tip zone: skip
@@ -385,9 +387,18 @@ class HotspotOracle:
 
     # ------------------------------------------------------------------
     def analyze(self, clip: Clip) -> ClipAnalysis:
-        """Simulate all corners and collect core-attributed defects."""
+        """Simulate all corners and collect core-attributed defects.
+
+        Everything that depends only on the design is computed once per
+        clip: the component labels and the maps derived from them
+        (:class:`DesignState`), the tip zones, and the EPE probes.  Each
+        distinct ``(pixel_nm, defocus_nm)`` is imaged once at unit dose
+        and every corner scales that image by its dose, which is the same
+        product ``aerial_image`` forms.  A corner then only develops its
+        print and checks it.
+        """
         design = rasterize_clip(clip, self.pixel_nm, antialias=True)
-        dlabels, _ = design_components(design)
+        state = DesignState(*design_components(design))
         rs, cs = core_slice(clip, self.pixel_nm)
         box = (rs.start, cs.start, rs.stop, cs.stop)
         zones = tip_zones_for_clip(
@@ -399,20 +410,27 @@ class HotspotOracle:
             if self.epe_sites
             else []
         )
+        probes = EdgeProbes(sites, design.shape) if sites else None
         epe_limit_px = self.epe_limit_nm / self.pixel_nm
         cap_limit_px = self.cap_pullback_nm / self.pixel_nm
 
+        unit_dose: Dict[Tuple[int, float], np.ndarray] = {}
         core_defects: List[Defect] = []
         per_corner: List[Tuple[Defect, ...]] = []
         for settings in self.corners:  # type: ignore[union-attr]
-            intensity = aerial_image(design, self.optics, settings)
+            key = (settings.pixel_nm, settings.defocus_nm)
+            if key not in unit_dose:
+                unit_dose[key] = aerial_image(
+                    design, self.optics, replace(settings, dose=1.0)
+                )
+            intensity = settings.dose * unit_dose[key]
             printed = self.resist.develop(intensity)  # type: ignore[union-attr]
             defects: List[Defect] = []
-            defects.extend(find_bridges(dlabels, printed))
-            defects.extend(find_opens(dlabels, printed))
+            defects.extend(find_bridges(state, printed))
+            defects.extend(find_opens(state, printed))
             defects.extend(
                 find_spots(
-                    dlabels,
+                    state,
                     printed,
                     margin_px=self.spot_margin_px,
                     min_area_px=self.spot_min_area_px,
@@ -420,17 +438,17 @@ class HotspotOracle:
             )
             defects.extend(
                 find_necks(
-                    dlabels,
+                    state,
                     printed,
                     min_width_ratio=self.neck_ratio,
                     exclude=exclude,
                 )
             )
-            if sites:
+            if probes is not None:
                 defects.extend(
                     find_epe_defects(
                         intensity,
-                        sites,
+                        probes,
                         self.resist.threshold,
                         epe_limit_px,
                         cap_limit_px=cap_limit_px,

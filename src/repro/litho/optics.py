@@ -50,7 +50,8 @@ def aerial_image(
 
     Output values are intensities normalized so that a large clear field
     images to ~``dose`` (i.e. a fully-dense mask region saturates to the
-    dose level).
+    dose level).  Dose is the last step, one product ``dose * image``, so
+    the image at dose 1 scaled by ``dose`` is this image bit for bit.
     """
     if mask.ndim != 2:
         raise ValueError("mask raster must be 2-D")

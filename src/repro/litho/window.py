@@ -10,12 +10,13 @@ collapses — these metrics grade the severity the 0/1 label hides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..geometry.layout import Clip
+from ..geometry.rasterize import core_slice
 from .hotspot import HotspotOracle
 from .optics import ImagingSettings
 
@@ -58,30 +59,26 @@ def process_window(
 ) -> ProcessWindow:
     """Evaluate defect-freedom on every (defocus, dose) grid point.
 
-    Each condition is checked with the oracle's defect analysis restricted
-    to that single corner, so ``passes[i, j]`` is True iff the clip's core
-    is clean when printed at ``defocus_values_nm[i]``, ``doses[j]``.
+    One analysis runs the oracle's defect checks with the grid as its
+    corners, so ``passes[i, j]`` is True iff the clip's core is clean when
+    printed at ``defocus_values_nm[i]``, ``doses[j]``: the verdict of the
+    same oracle restricted to that single corner.
     """
     base = oracle or HotspotOracle()
-    passes = np.zeros((len(defocus_values_nm), len(doses)), dtype=bool)
-    for i, defocus in enumerate(defocus_values_nm):
-        for j, dose in enumerate(doses):
-            corner = ImagingSettings(
-                pixel_nm=base.pixel_nm, dose=dose, defocus_nm=defocus
-            )
-            single = HotspotOracle(
-                optics=base.optics,
-                pixel_nm=base.pixel_nm,
-                resist=base.resist,
-                corners=(corner,),
-                neck_ratio=base.neck_ratio,
-                epe_limit_nm=base.epe_limit_nm,
-                cap_pullback_nm=base.cap_pullback_nm,
-                tip_margin_nm=base.tip_margin_nm,
-                spot_margin_px=base.spot_margin_px,
-                spot_min_area_px=base.spot_min_area_px,
-            )
-            passes[i, j] = not single.analyze(clip).is_hotspot
+    grid = tuple(
+        ImagingSettings(pixel_nm=base.pixel_nm, dose=dose, defocus_nm=defocus)
+        for defocus in defocus_values_nm
+        for dose in doses
+    )
+    analysis = replace(base, corners=grid).analyze(clip)
+    rs, cs = core_slice(clip, base.pixel_nm)
+    passes = np.array(
+        [
+            not any(d.in_box(rs.start, cs.start, rs.stop, cs.stop) for d in defects)
+            for defects in analysis.corner_defects
+        ],
+        dtype=bool,
+    ).reshape(len(defocus_values_nm), len(doses))
     return ProcessWindow(
         doses=tuple(doses),
         defocus_values_nm=tuple(defocus_values_nm),

@@ -113,3 +113,45 @@ class TestPlaneFeatureSlicing:
         from repro.nn.detector import CNNDetector
 
         assert CNNDetector().plane_feature_block() == 8
+
+
+class TestBatchThreadSafety:
+    def test_concurrent_batches_of_one_shape_do_not_mix(self):
+        """Threads extracting distinct stacks of one shape at once each get
+        exactly their single-threaded result.
+
+        ``feature_tensor_batch`` reuses scratch buffers across calls; shared
+        between threads, one thread's intermediate overwrote another's
+        (sharded and served scans run detectors on threads).
+        """
+        import sys
+        import threading
+
+        from repro.features import feature_tensor_batch
+
+        rng = np.random.default_rng(3)
+        stacks = [rng.random((32, 96, 96)) for _ in range(3)]  # > 2 cores
+        expected = [feature_tensor_batch(s, 8, 4) for s in stacks]
+        start = threading.Barrier(len(stacks))
+        mismatches = [0] * len(stacks)
+
+        def hammer(k):
+            start.wait(timeout=30)
+            for _ in range(30):
+                if not np.array_equal(feature_tensor_batch(stacks[k], 8, 4), expected[k]):
+                    mismatches[k] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k,)) for k in range(len(stacks))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == [0] * len(stacks)

@@ -1,10 +1,18 @@
 """Tests for process-window metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.litho import HotspotOracle, ProcessWindow, process_window, severity_score
+from repro.litho import (
+    HotspotOracle,
+    ImagingSettings,
+    ProcessWindow,
+    process_window,
+    severity_score,
+)
 
 from ..conftest import clip_from_rects
 
@@ -79,3 +87,37 @@ class TestProcessWindowEvaluation:
             )
         )
         assert s_tight > s_comf
+
+
+#: two 40 nm wires tip to tip across a 32 nm gap: a cap-EPE defect decides
+#: several grid points that the other rules pass
+TIPS = [Rect(216, 576, 608, 616), Rect(640, 576, 984, 616)]
+
+
+class TestGridMatchesSingleCorners:
+    @pytest.mark.parametrize("epe_sites", [False, True])
+    def test_each_point_is_the_single_corner_verdict(self, epe_sites):
+        base = HotspotOracle(epe_sites=epe_sites)
+        clip = clip_from_rects(TIPS)
+        doses = (0.94, 1.0, 1.06)
+        pw = process_window(clip, base, doses=doses, defocus_values_nm=DEFOCUS)
+        expected = [
+            [
+                not replace(
+                    base,
+                    corners=(ImagingSettings(pixel_nm=8, dose=d, defocus_nm=f),),
+                ).analyze(clip).is_hotspot
+                for d in doses
+            ]
+            for f in DEFOCUS
+        ]
+        assert pw.passes.tolist() == expected
+
+    def test_oracle_settings_carry_over(self):
+        """Without EPE sites the tip pair keeps points that EPE fails."""
+        clip = clip_from_rects(TIPS)
+        doses = (0.94, 1.0, 1.06)
+        kw = dict(doses=doses, defocus_values_nm=DEFOCUS)
+        without = process_window(clip, HotspotOracle(epe_sites=False), **kw)
+        with_epe = process_window(clip, HotspotOracle(), **kw)
+        assert without.ratio > with_epe.ratio

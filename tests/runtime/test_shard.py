@@ -209,6 +209,24 @@ def test_fused_cnn_sharded_scan_is_bit_identical(fused_cnn, shards):
     assert canonical(sharded) == canonical(mono)
 
 
+def test_fused_cnn_threaded_shards_are_bit_identical(fused_cnn):
+    """Three shard threads extract DCT features at once; with dedup off
+    every window is scored on them, and every score must still be the
+    monolithic scan's bits."""
+    layer, region = routed_block()
+    mono = ScanEngine(
+        fused_cnn, config=EngineConfig.from_kwargs(dedup=False)
+    ).scan(layer, region, keep_clips=False)
+    sharded = scan_chip(
+        layer, fused_cnn,
+        EngineConfig.from_kwargs(shards=4, shard_workers=3, dedup=False),
+        region=region,
+    )
+    assert sharded.telemetry.counter("scored") >= sharded.n_windows
+    assert np.array_equal(sharded.scores, mono.scores)
+    assert canonical(sharded) == canonical(mono)
+
+
 class DensityOracle:
     """Deterministic ground-truth labeler (the oracle protocol is .label)."""
 

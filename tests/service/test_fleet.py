@@ -81,6 +81,46 @@ class TestExecution:
         )
         assert stored.metrics["counters"]["scored"] > 0
 
+    def test_dct_jobs_on_two_workers_match_direct_scans(self, manager, region):
+        """Two workers extract DCT features at once; each served report
+        still equals the direct scan of its own layer."""
+        from repro.geometry import Layer, Rect
+        from repro.runtime import EngineConfig
+
+        from .conftest import GradedDCTDetector
+
+        detector = GradedDCTDetector()
+        layers = []
+        for k in range(4):
+            layer = Layer("metal1")
+            layer.add_rects(
+                [Rect(0, i * 256 + 24 * k, 2048, i * 256 + 24 * k + 64 + 8 * k)
+                 for i in range(8)]
+                + [Rect(256 * k, 0, 256 * k + 96, 2048)]
+            )
+            layers.append(layer)
+        direct = [
+            ScanEngine(
+                detector, config=EngineConfig.from_kwargs(chunk_clips=8)
+            ).scan(layer, region, keep_clips=False)
+            for layer in layers
+        ]
+        with WorkerFleet(manager, detector, workers=2) as fleet:
+            ids = [
+                manager.submit(
+                    encode_job_request(layer, region, engine={"chunk_clips": 8})
+                ).job_id
+                for layer in layers
+            ]
+            assert fleet.wait_idle(timeout=120)
+        for job_id, report in zip(ids, direct):
+            assert manager.status(job_id).state is JobState.SUCCEEDED
+            stored = manager.result(job_id)
+            assert canonical_report_json(stored.document) == canonical_report_json(
+                report.to_json()
+            )
+        assert len({tuple(r.scores) for r in direct}) == len(layers)
+
     def test_many_jobs_across_workers(
         self, manager, detector, request_payload
     ):
