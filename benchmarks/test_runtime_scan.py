@@ -18,11 +18,14 @@ are recorded alongside the Fig. 5 table.
 against the per-clip reference path (dedup off on both, so rasterize +
 feature + forward cost is what's measured) and records windows/s and the
 speedup ratios to ``BENCH_scan.json`` at the repo root, together with the
-CPU count and every loaded OpenBLAS with its thread count.
+CPU count and every loaded OpenBLAS with its thread count.  It also
+records the default scan path, raster x dedup, next to dedup off: the
+fused cnn-dct scan's windows/s and ``tracemalloc`` peak, with no gate.
 """
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +156,55 @@ def test_runtime_scan_dedup_and_cascade(benchmark, suite, out_dir):
     assert cascade.cascade_stats.primary_scored <= dedup.n_scored
 
 
+def _default_path_rows(cnn, layer, region, rounds):
+    """The fused cnn-dct raster scan with dedup on and off, measured.
+
+    Each scan gets a fresh engine, so dedup starts from an empty
+    scan-local cache every time.  windows/s is the median of ``rounds``
+    untraced scans (after one warm-up); the ``tracemalloc`` peak comes
+    from one more scan, traced on its own because tracing slows
+    allocation.
+    """
+    from repro.runtime import EngineConfig, ScanEngine
+
+    cnn.set_backend("fused")
+    rows = []
+    for dedup in (True, False):
+        config = EngineConfig.from_kwargs(
+            dedup=dedup, raster_plane=True, infer_backend="fused"
+        )
+
+        def scan():
+            return ScanEngine(cnn, config=config).scan(
+                layer, region, keep_clips=False
+            )
+
+        scan()  # warm-up
+        rates = sorted(scan().windows_per_s for _ in range(rounds))
+        tracemalloc.start()
+        try:
+            report = scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows.append(
+            {
+                "dedup": dedup,
+                "scan_path": report.scan_path,
+                "windows": report.n_windows,
+                "scored": report.n_scored,
+                "feature_planes": report.telemetry.counter("feature_planes"),
+                "windows_per_s": round(rates[len(rates) // 2], 1),
+                "windows_per_s_range": [
+                    round(rates[0], 1), round(rates[-1], 1)
+                ],
+                "tracemalloc_peak_mb": round(peak / 2**20, 2),
+            }
+        )
+    cnn.set_backend("layers")
+    return rows
+
+
 def test_raster_plane_speedup(benchmark, suite, out_dir):
     """Raster-plane vs per-clip scan: identical flags, higher windows/s.
 
@@ -240,6 +292,7 @@ def test_raster_plane_speedup(benchmark, suite, out_dir):
         return clip_reports, rounds
 
     clip_reports, rounds = run_once(benchmark, run)
+    default_path = _default_path_rows(cnn, layer, region, ROUNDS)
 
     def median_report(arm):
         # flags/scores are deterministic across repeats; only the
@@ -279,6 +332,7 @@ def test_raster_plane_speedup(benchmark, suite, out_dir):
             "dedup": False,
         },
         "results": [],
+        "default_path": default_path,
     }
     for name, (clip, rast) in results.items():
         assert clip.scan_path == "clip" and rast.scan_path == "raster"
@@ -357,6 +411,17 @@ def test_raster_plane_speedup(benchmark, suite, out_dir):
                 "clip_w/s": "-",
                 "raster_w/s": round(rep.windows_per_s, 1),
                 "speedup": f"{speedup:.2f}x",
+            }
+        )
+
+    for row in default_path:
+        rows.append(
+            {
+                "detector": "cnn-dct",
+                "backend": f"fused, dedup={'on' if row['dedup'] else 'off'}",
+                "clip_w/s": "-",
+                "raster_w/s": row["windows_per_s"],
+                "speedup": f"peak {row['tracemalloc_peak_mb']} MB",
             }
         )
 

@@ -12,7 +12,9 @@ region into one shared :class:`RasterPlane` so overlapping scan windows can
 be sliced out as views instead of re-rasterizing the same geometry once per
 window.  ``raster_fingerprint`` gives such window slices a canonical content
 hash (the raster-plane analogue of
-:func:`~repro.geometry.layout.clip_fingerprint`).
+:func:`~repro.geometry.layout.clip_fingerprint`); ``quantize_raster`` and
+``quantized_fingerprint`` split it in two so a scan can quantize a whole
+band once and key each window from a slice of it.
 """
 
 from __future__ import annotations
@@ -178,6 +180,28 @@ def rasterize_region(
 _FINGERPRINT_QUANT = 4096
 
 
+def quantize_raster(raster: np.ndarray) -> np.ndarray:
+    """Coverage quantized to 1/4096 steps, as ``uint16`` — the key's pixels.
+
+    Elementwise, so quantizing a whole band plane and slicing a window
+    out of it gives the window's own quantized raster bit for bit.
+    """
+    return np.rint(np.asarray(raster) * _FINGERPRINT_QUANT).astype(np.uint16)
+
+
+def quantized_fingerprint(quantized: np.ndarray) -> str:
+    """The ``r:`` key of a :func:`quantize_raster` window (or a slice).
+
+    Hashes the shape and the C-ordered pixels with blake2b, so a slice
+    of a quantized band keys exactly like :func:`raster_fingerprint` of
+    the window's raster.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(np.asarray(quantized.shape, dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(quantized))
+    return "r:" + digest.hexdigest()
+
+
 def raster_fingerprint(raster: np.ndarray) -> str:
     """Canonical content hash of a window raster (quantized).
 
@@ -189,12 +213,7 @@ def raster_fingerprint(raster: np.ndarray) -> str:
     prefix so they can never collide with clip-geometry fingerprints in a
     shared :class:`~repro.runtime.cache.ScoreCache`.
     """
-    raster = np.asarray(raster)
-    quantized = np.rint(raster * _FINGERPRINT_QUANT).astype(np.uint16)
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(np.asarray(quantized.shape, dtype=np.int64).tobytes())
-    digest.update(np.ascontiguousarray(quantized).tobytes())
-    return "r:" + digest.hexdigest()
+    return quantized_fingerprint(quantize_raster(raster))
 
 
 def core_slice(clip: Clip, pixel_nm: int) -> Tuple[slice, slice]:

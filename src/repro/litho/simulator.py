@@ -75,11 +75,25 @@ class LithoSimulator:
 
         Returns ``[(dose, defocus_nm, printed), ...]`` in sweep order; the
         process-variation band is the pixelwise disagreement across entries.
+        The clip is rasterized once and each defocus imaged once at unit
+        dose; a corner scales that image by its dose, the same final
+        product ``aerial_image`` forms, so every entry equals
+        :meth:`print_clip` at its corner bit for bit.
         """
+        design = rasterize_clip(clip, self.pixel_nm, antialias=True)
         out: List[Tuple[float, float, np.ndarray]] = []
         for defocus in defocus_values_nm:
+            unit_dose = aerial_image(
+                design,
+                self.optics,
+                ImagingSettings(pixel_nm=self.pixel_nm, defocus_nm=defocus),
+            )
             for dose in doses:
-                out.append((dose, defocus, self.print_clip(clip, dose, defocus)))
+                settings = ImagingSettings(
+                    pixel_nm=self.pixel_nm, dose=dose, defocus_nm=defocus
+                )
+                printed = self.resist.develop(settings.dose * unit_dose)  # type: ignore[union-attr]
+                out.append((dose, defocus, printed))
         return out
 
     def pv_band(

@@ -16,8 +16,9 @@ Two progress models, matching the engine's two scan modes:
   chunk-for-chunk (the enumeration is deterministic) and resumes
   scoring at the cursor.
 * **dedup** — the ``fingerprint -> score`` pairs scored so far.  Resume
-  re-runs the cheap fingerprint phase (deterministic), marks the stored
-  fingerprints as already scored, and only scores the remainder.
+  loads the stored pairs before its single pass, settles each stored
+  pattern from them when its key first appears, and only scores the
+  remainder.
 
 The checkpoint is one checksummed :mod:`repro.durable` npz carrying a
 **manifest** (schema version, detector tag, scan-config hash).  A

@@ -42,15 +42,17 @@ chip-scale workload the runtime figures motivate:
 Every scan is one pipeline: a window source (clip windows, slices of a
 raster band, or slices of a band's feature tensor) yields chunks in
 global row-major order, and one runner either streams them through the
-pool (no cache) or fingerprints every window, scores one exemplar per
-pattern and assembles the scores (cache).  Checkpoint, kept-clip,
-telemetry and span code lives in the runner, once for every source.
+pool (no cache) or keys every window in the same single pass and sends
+each unseen pattern's exemplar to the pool as soon as a batch of them
+has accumulated (cache).  Checkpoint, kept-clip, telemetry and span code
+lives in the runner, once for every source.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -79,7 +81,14 @@ from ..geometry.layout import (
     extract_clip,
     iter_tile_centers,
 )
-from ..geometry.rasterize import raster_fingerprint, rasterize_region
+# raster_fingerprint is not called here; it stays importable under this
+# name because perfbench's traced ledger wraps it here
+from ..geometry.rasterize import (
+    quantize_raster,
+    quantized_fingerprint,
+    raster_fingerprint,
+    rasterize_region,
+)
 from ..geometry.rect import Rect
 from .cache import ScoreCache
 from .cascade import CascadeDetector, CascadeStats
@@ -386,14 +395,16 @@ class _WindowSource:
     """One scan's windows, and how windows of their kind are scored.
 
     ``chunks`` yields ``(chunk_centers, materialize)`` pairs in global
-    row-major order.  ``materialize()`` cuts the chunk's windows — a
-    clip list, an ``(n, H, W)`` slice batch of a raster band, or an
-    ``(n, C, h, w)`` slice batch of a band's feature tensor — and is
+    row-major order.  ``materialize()`` cuts the chunk's windows and is
     called at most once per chunk, before the next pair is pulled; a
-    resumed chunk is never cut.  The rest goes with the window kind:
+    resumed chunk is never cut.  Without a cache it returns one pool
+    batch: a clip list, or an ``(n, H, W)`` / ``(n, C, h, w)`` stack of
+    raster-band / band-feature slices.  With a cache it returns
+    ``(keys, windows)``: every window's dedup key and the windows
+    themselves (clips, or per-window views of their band).  The rest
+    goes with the window kind:
 
     * ``map_scores`` — the :class:`WorkerPool` entry point for batches,
-    * ``fingerprint`` — a window's dedup key,
     * ``pack`` — a list of exemplar windows -> one pool batch,
     * ``clips`` — ``(chunk_centers, windows or None)`` -> the chunk's
       :class:`Clip` objects for ``keep_clips`` (clip windows are reused).
@@ -401,7 +412,6 @@ class _WindowSource:
 
     chunks: Iterator[Tuple[Centers, Callable[[], Sequence]]]
     map_scores: Callable[[Iterable], Iterator[np.ndarray]]
-    fingerprint: Callable[..., str]
     pack: Callable[[list], object]
     clips: Callable[[Centers, Optional[Sequence]], List[Clip]]
 
@@ -836,11 +846,12 @@ class ScanEngine:
         """Pick the scan's window kind: clips, raster slices or features.
 
         The clip path cuts a :class:`Clip` per window.  The raster path
-        slices windows out of shared band planes; without a cache, and
-        when the detector can share them, it slices a band's feature
-        tensor instead (the dedup mode fingerprints raw rasters).
+        slices windows out of shared band planes; when the detector can
+        share them, it slices a band's feature tensor instead.  With a
+        cache, every chunk comes with its windows' dedup keys.
         """
         chunk = self.config.batch.chunk_clips
+        keyed = self.cache is not None
 
         def extract(chunk_centers: Centers) -> List[Clip]:
             with telemetry.timer("extract"):
@@ -850,35 +861,39 @@ class ScanEngine:
                 ]
 
         if scan_path == "clip":
+
+            def cut(chunk_centers: Centers):
+                clips = extract(chunk_centers)
+                if not keyed:
+                    return clips
+                with telemetry.timer("dedup"):
+                    return [clip_fingerprint(c) for c in clips], clips
+
             centers = iter_tile_centers(region, window_nm, step)
             return _WindowSource(
                 chunks=(
-                    (cc, partial(extract, cc))
-                    for cc in _chunked(centers, chunk)
+                    (cc, partial(cut, cc)) for cc in _chunked(centers, chunk)
                 ),
                 map_scores=pool.map_scores,
-                fingerprint=clip_fingerprint,
                 pack=list,
                 clips=lambda cc, windows: (
                     extract(cc) if windows is None else windows
                 ),
             )
-        direct = self.cache is None
-        block = self._plane_feature_block(window_nm, step) if direct else None
+        block = self._plane_feature_block(window_nm, step)
         return _WindowSource(
             # the in-process pool scores each direct batch before pulling
             # the next, so those batches may share one buffer; a process
-            # pool pickles batches ahead, and dedup keeps exemplars
+            # pool pickles batches ahead
             chunks=self._raster_chunks(
-                layer, region, window_nm, step, telemetry, block,
-                reuse=direct and pool.workers == 1,
+                layer, region, window_nm, step, telemetry, block, keyed,
+                reuse=not keyed and pool.workers == 1,
             ),
             map_scores=(
                 pool.map_scores_rasters
                 if block is None
                 else pool.map_scores_features
             ),
-            fingerprint=raster_fingerprint,
             pack=np.stack,
             clips=lambda cc, windows: extract(cc),
         )
@@ -915,8 +930,8 @@ class ScanEngine:
 
     def _raster_chunks(
         self, layer, region, window_nm, step, telemetry, feature_block,
-        reuse,
-    ) -> Iterator[Tuple[Centers, Callable[[], np.ndarray]]]:
+        keyed, reuse,
+    ) -> Iterator[Tuple[Centers, Callable[[], object]]]:
         """Band-plane window chunks: paint each band once, slice windows.
 
         Each band is rasterized once and every member window is a
@@ -926,27 +941,48 @@ class ScanEngine:
         at the survey geometry windows overlap ~9x, so the per-window
         transform cost drops by the overlap factor.
 
-        Slices are copied into a chunk batch (the plane is dropped after
-        its band).  ``reuse=True`` copies into a persistent engine-owned
-        buffer instead of a fresh stack (a chunk of 96x96 float64
-        windows is ~10MB, and faulting in fresh pages every chunk costs
-        real per-window time); a batch is then overwritten by the next
-        one, so only a consumer that drains each batch before pulling
-        the next may ask for it.
+        ``keyed`` (dedup mode) quantizes the band once as well; each
+        window's key hashes its slice of the quantized band, equal to
+        :func:`~repro.geometry.rasterize.raster_fingerprint` of its
+        raster, and its window stays a view of the band for the runner
+        to pack only if it is an unseen pattern.  Otherwise slices are
+        copied into a chunk batch (the plane is dropped after its band).
+        ``reuse=True`` copies into a persistent engine-owned buffer
+        instead of a fresh stack (a chunk of 96x96 float64 windows is
+        ~10MB, and faulting in fresh pages every chunk costs real
+        per-window time); a batch is then overwritten by the next one,
+        so only a consumer that drains each batch before pulling the
+        next may ask for it.
         """
         chunk = self.config.batch.chunk_clips
         pixel = self.detector.raster_pixel_nm
         pitch = pixel * (feature_block or 1)
         size = window_nm // pitch
+        key_size = window_nm // pixel
         half = window_nm // 2
 
-        def cut(grid, box: Rect, chunk_centers: Centers) -> np.ndarray:
+        def cut(grid, quantized, box: Rect, chunk_centers: Centers):
+            # each window's lower-left corner, in nm from the band's
+            corners = [
+                (cy - half - box.y1, cx - half - box.x1)
+                for cx, cy in chunk_centers
+            ]
+            views = [
+                grid[..., y // pitch : y // pitch + size,
+                     x // pitch : x // pitch + size]
+                for y, x in corners
+            ]
+            if keyed:
+                with telemetry.timer("dedup"):
+                    keys = [
+                        quantized_fingerprint(
+                            quantized[y // pixel : y // pixel + key_size,
+                                      x // pixel : x // pixel + key_size]
+                        )
+                        for y, x in corners
+                    ]
+                return keys, views
             with telemetry.timer("slice"):
-                views = []
-                for cx, cy in chunk_centers:
-                    gy = (cy - half - box.y1) // pitch
-                    gx = (cx - half - box.x1) // pitch
-                    views.append(grid[..., gy : gy + size, gx : gx + size])
                 if not reuse:
                     return np.stack(views)
                 item = views[0].shape
@@ -970,12 +1006,16 @@ class ScanEngine:
             with telemetry.timer("rasterize"):
                 grid = rasterize_region(layer, box, pixel).grid
             telemetry.count("raster_bands")
+            quantized = None
+            if keyed:
+                with telemetry.timer("dedup"):
+                    quantized = quantize_raster(grid)
             if feature_block is not None:
                 with telemetry.timer("features"):
                     grid = self.detector.plane_feature_tensor(grid)
                 telemetry.count("feature_planes")
             for cc in _chunked(band_centers, chunk):
-                yield cc, partial(cut, grid, box, cc)
+                yield cc, partial(cut, grid, quantized, box, cc)
 
     # ------------------------------------------------------------------
     # the runner
@@ -1046,70 +1086,84 @@ class ScanEngine:
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 
     def _dedup(self, source, admit, ckpt, obs, telemetry) -> np.ndarray:
-        """Cache mode: fingerprint every window, score each pattern once.
+        """Cache mode: one pass that scores each unseen pattern once.
 
-        Phase 1 cuts and fingerprints every chunk, keeping one exemplar
-        window per pattern neither this scan nor the cache has seen; a
-        resumed checkpoint then settles the patterns it already scored.
-        Phase 2 scores the exemplars through the pool; phase 3 assembles
-        the per-window score array.  Splitting the phases keeps
-        cross-chunk dedup exact even when the pool pipelines chunks.
+        Chunks are cut and keyed in order.  A key this scan has not met
+        is settled by the cache, then by a resumed checkpoint's stored
+        pairs (loaded before the pass), or else its window becomes the
+        pattern's exemplar; every ``chunk_clips`` exemplars go to the
+        pool as one batch, and a pattern in flight counts as seen.  The
+        pool thus receives the first-seen unsettled patterns in the same
+        batches whenever scoring happens, and holds at most about one
+        batch of exemplars at a time.  Cache inserts wait for the end of
+        the pass, so a bounded cache evicts nothing a later window of
+        this scan could still hit.
         """
         cache = self.cache
         chunk = self.config.batch.chunk_clips
-        fingerprints: List[str] = []
-        score_by_fp: Dict[str, float] = {}
-        pending: Dict[str, object] = {}
+        resumed = {} if ckpt is None else ckpt.resumed_fp_scores()
+        replayed = set()
+        keys: List[str] = []
+        #: key -> score for every pattern met; None while not yet scored
+        known: Dict[str, Optional[float]] = {}
+        pending: Dict[str, object] = {}  # key -> exemplar, first-seen order
+        in_flight: "deque[List[str]]" = deque()
 
-        with obs.tracer.span("fingerprint", kind="phase") as fp_span:
-            chunks = ((cc, materialize()) for cc, materialize in source.chunks)
-            for chunk_centers, windows in chunks:
+        def take() -> list:
+            in_flight.append(list(pending))
+            exemplars = list(pending.values())
+            pending.clear()
+            return exemplars
+
+        def batches() -> Iterator[object]:
+            for chunk_centers, materialize in source.chunks:
+                chunk_keys, windows = materialize()
+                full = []
                 with telemetry.timer("dedup"):
-                    for window in windows:
-                        fp = source.fingerprint(window)
-                        fingerprints.append(fp)
-                        if fp in score_by_fp or fp in pending:
+                    for fp, window in zip(chunk_keys, windows):
+                        if fp in known:
                             telemetry.count("dedup_hits")
                             continue
                         cached = cache.get(fp)
                         if cached is not None:
-                            score_by_fp[fp] = cached
+                            known[fp] = cached
                             telemetry.count("cache_hits")
+                        elif fp in resumed:
+                            known[fp] = resumed[fp]
+                            replayed.add(fp)
+                            telemetry.count("resume_hits")
                         else:
+                            known[fp] = None
                             pending[fp] = window
+                            if len(pending) == chunk:
+                                full.append(take())
+                keys.extend(chunk_keys)
                 admit(chunk_centers, windows)
                 obs.tick("fingerprint")
-            if ckpt is not None:
-                for fp, score in ckpt.resumed_fp_scores().items():
-                    if fp in pending:
-                        del pending[fp]
-                        score_by_fp[fp] = score
-                        cache.put(fp, score)
-                        telemetry.count("resume_hits")
-            fp_span.set(unique=len(pending) + len(score_by_fp))
+                for exemplars in full:
+                    yield source.pack(exemplars)
+            if pending:
+                yield source.pack(take())
 
-        fps = list(pending)
-        exemplars = list(pending.values())
-        starts = range(0, len(fps), chunk)
-        with obs.tracer.span("score", kind="phase"):
+        scored: List[str] = []
+        with obs.tracer.span("score_dedup", kind="phase") as span:
             with telemetry.timer("score"):
-                batches = (source.pack(exemplars[i : i + chunk]) for i in starts)
-                for i, part in zip(starts, source.map_scores(batches)):
-                    chunk_fps = fps[i : i + chunk]
-                    for fp, score in zip(chunk_fps, part):
-                        value = float(score)
-                        score_by_fp[fp] = value
-                        cache.put(fp, value)
+                for part in source.map_scores(batches()):
+                    batch_fps = in_flight.popleft()
+                    for fp, score in zip(batch_fps, part):
+                        known[fp] = float(score)
+                    scored.extend(batch_fps)
                     telemetry.count("scored", len(part))
                     if ckpt is not None:
-                        ckpt.record_fp_chunk(chunk_fps, part)
+                        ckpt.record_fp_chunk(batch_fps, part)
                     obs.tick("score")
-
-        with obs.tracer.span("assemble", kind="phase"):
-            with telemetry.timer("assemble"):
-                return np.array(
-                    [score_by_fp[fp] for fp in fingerprints], dtype=np.float64
-                )
+            span.set(unique=len(known))
+        for fp, score in resumed.items():
+            if fp in replayed:
+                cache.put(fp, score)
+        for fp in scored:
+            cache.put(fp, known[fp])
+        return np.array([known[fp] for fp in keys], dtype=np.float64)
 
     # ------------------------------------------------------------------
     # verification

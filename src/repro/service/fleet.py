@@ -125,9 +125,10 @@ class WorkerFleet:
     interrupt_after_events:
         *Scoring* heartbeats (``event.scored > 0``) a fault-marked job
         survives before its point fires.  Counting only scoring beats —
-        not the dedup fingerprint phase that precedes them — guarantees
-        scored chunks, and therefore checkpoints, exist by the time the
-        fault fires, so the retry genuinely resumes.
+        not the beats a dedup scan emits while cutting chunks before its
+        first batch — guarantees scored chunks, and therefore
+        checkpoints, exist by the time the fault fires, so the retry
+        genuinely resumes.
     heartbeat_every_chunks:
         Chunks between progress heartbeats (bounds cancel/drain latency
         and sets the lease-renewal cadence).

@@ -6,7 +6,12 @@ import pytest
 from repro.geometry import Rect
 from repro.litho import LithoSimulator
 
-from ..conftest import clip_from_rects
+from ..conftest import (
+    clip_from_rects,
+    make_empty_clip,
+    make_grating_clip,
+    make_tip_pair_clip,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +80,27 @@ class TestProcessWindow:
 
     def test_pv_band_empty_for_empty_clip(self, sim, empty_clip):
         assert not sim.pv_band(empty_clip).any()
+
+    @pytest.mark.parametrize(
+        "make_clip",
+        [make_grating_clip, make_tip_pair_clip, make_empty_clip],
+        ids=["grating", "tip-pair", "empty"],
+    )
+    def test_sweep_and_band_equal_per_corner_prints(self, sim, make_clip):
+        """One raster and one image per defocus change no bit."""
+        clip = make_clip()
+        doses = (0.9, 0.95, 1.0, 1.05, 1.1)
+        defocus_values = (0.0, 20.0, 40.0)
+        sweep = sim.process_window(clip, doses, defocus_values)
+        corners = [(dose, f) for f in defocus_values for dose in doses]
+        assert [(dose, f) for dose, f, _ in sweep] == corners
+        prints = [sim.print_clip(clip, dose, f) for dose, f in corners]
+        for (_, _, printed), expected in zip(sweep, prints):
+            assert printed.tobytes() == expected.tobytes()
+        stack = np.stack(prints)
+        band = stack.any(axis=0) & ~stack.all(axis=0)
+        assert sim.pv_band(clip).tobytes() == band.tobytes()
+
+    def test_sweep_refuses_a_non_positive_dose(self, sim, wire_clip):
+        with pytest.raises(ValueError, match="dose"):
+            sim.process_window(wire_clip, doses=(1.0, 0.0))

@@ -126,6 +126,7 @@ SOURCE_MATRIX = [
     ("raster", "direct"),
     ("raster", "dedup"),
     ("plane-feature", "direct"),
+    ("plane-feature", "dedup"),
 ]
 
 

@@ -5,14 +5,18 @@ must receive exactly the patterns that neither the cache nor a resumed
 checkpoint has settled, in first-seen (global row-major) order, cut
 into batches of ``chunk_clips``.  Scores, counters and fault-injection
 opportunities then do not depend on how the runner interleaves
-fingerprinting with scoring.
+fingerprinting with scoring.  The last two tests pin that it does
+interleave them: batches are scored while bands are still being
+rasterized, and memory stays flat as the layout grows.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.contracts import ContractViolation
-from repro.geometry import Rect, clip_fingerprint, extract_clip
+from repro.geometry import Layer, Rect, clip_fingerprint, extract_clip
 from repro.geometry.layout import iter_tile_centers
 from repro.geometry.rasterize import raster_fingerprint, rasterize_region
 from repro.runtime import EngineConfig, FaultInjector, ScanEngine, ScoreCache
@@ -152,3 +156,71 @@ def test_resumed_scan_keeps_checkpointed_patterns_out(
     assert t.counter("resume_hits") == 2 * CHUNK
     assert t.counter("scored") == len(unique) - 2 * CHUNK
     assert report.scores.tobytes() == clean.scores.tobytes()
+
+
+def test_first_batch_is_scored_before_the_last_band_is_rasterized(
+    tiled_layer, monkeypatch
+):
+    events = []
+
+    def logged_rasterize(*args, **kwargs):
+        events.append("rasterize")
+        return rasterize_region(*args, **kwargs)
+
+    class Logged(RecordingRasterMean):
+        def predict_proba_rasters(self, rasters):
+            events.append("score")
+            return super().predict_proba_rasters(rasters)
+
+    monkeypatch.setattr(
+        "repro.runtime.engine.rasterize_region", logged_rasterize
+    )
+    report = _engine(Logged(), "raster", band_rows=1).scan(
+        tiled_layer, REGION, keep_clips=False
+    )
+    assert report.telemetry.counter("raster_bands") == events.count(
+        "rasterize"
+    ) == 14
+    last_band = len(events) - 1 - events[::-1].index("rasterize")
+    assert events.index("score") < last_band
+
+
+def _distinct_layer(rows: int):
+    """Irregular wires under ``rows`` window rows: no two windows match."""
+    rng = np.random.default_rng(5)
+    height = 768 + (rows - 1) * 256
+    layer = Layer("metal1")
+    rects = []
+    for y in range(0, height - 32, 64):
+        for x1 in rng.integers(0, 3800, size=3):
+            x2 = int(x1) + int(rng.integers(100, 600))
+            rects.append(Rect(int(x1), y, min(x2, 4096), y + 32))
+    layer.add_rects(rects)
+    return layer, Rect(0, 0, 4096, height)
+
+
+def _scan_peak_bytes(rows: int) -> int:
+    layer, region = _distinct_layer(rows)
+    engine = ScanEngine(
+        RasterMeanDetector(),
+        # a batch far smaller than the window count, so a bound shows
+        config=EngineConfig.from_kwargs(
+            workers=1, raster_plane=True, chunk_clips=32
+        ),
+    )
+    tracemalloc.start()
+    try:
+        report = engine.scan(layer, region, keep_clips=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_windows == 14 * rows
+    assert report.n_scored == report.n_windows  # every window distinct
+    return peak
+
+
+def test_dedup_memory_stays_flat_as_distinct_windows_double():
+    _scan_peak_bytes(14)  # warm-up: first-call allocations
+    small = _scan_peak_bytes(14)
+    large = _scan_peak_bytes(28)
+    assert large <= 1.2 * small, (small, large)

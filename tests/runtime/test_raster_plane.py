@@ -12,8 +12,13 @@ import pytest
 
 from repro.core.detector import Detector, FitReport, supports_raster_scan
 from repro.geometry import Layer, Rect
-from repro.geometry.rasterize import rasterize_clip
-from repro.runtime import EngineConfig, ScanEngine
+from repro.geometry.layout import iter_tile_centers
+from repro.geometry.rasterize import (
+    raster_fingerprint,
+    rasterize_clip,
+    rasterize_region,
+)
+from repro.runtime import EngineConfig, ScanEngine, ScoreCache
 from repro.runtime.engine import (  # lint: disable=no-deep-runtime-import  (white-box test of the private band iterator)
     _iter_raster_bands,
 )
@@ -323,13 +328,65 @@ class TestPlaneFeaturePath:
         ).scan(tiled_layer, REGION, step_nm=96, keep_clips=False)
         np.testing.assert_allclose(report.scores, clip.scores, atol=1e-12)
 
-    def test_dedup_path_ignores_plane_features(self, tiled_layer):
-        """Dedup fingerprints raw rasters; the feature path must not leak."""
+    def test_dedup_path_shares_plane_features(self, tiled_layer):
+        """Dedup slices the band's feature tensor, with unchanged scores."""
         det = FeatureMeanDetector()
         rast = _scan(det, tiled_layer, raster_plane=True, dedup=True)
-        assert rast.telemetry.counters.get("feature_planes", 0) == 0
+        counters = rast.telemetry.counters
+        assert counters["feature_planes"] == counters["raster_bands"] >= 1
+        assert counters["dedup_hits"] > 0
         direct = _scan(det, tiled_layer, raster_plane=True, dedup=False)
-        assert np.array_equal(rast.scores, direct.scores)
+        assert rast.scores.tobytes() == direct.scores.tobytes()
+
+        class NoPlane(FeatureMeanDetector):
+            plane_feature_block = None  # hides the hook; raster exemplars
+
+        hidden = _scan(NoPlane(), tiled_layer, raster_plane=True, dedup=True)
+        assert hidden.telemetry.counters.get("feature_planes", 0) == 0
+        assert rast.scores.tobytes() == hidden.scores.tobytes()
+
+    @pytest.mark.parametrize(
+        "max_plane_pixels", [32_000_000, 30_000], ids=["bands", "row-segments"]
+    )
+    @pytest.mark.parametrize(
+        "detector", [FeatureMeanDetector, RasterMeanDetector],
+        ids=["plane-features", "raster-windows"],
+    )
+    def test_dedup_keys_are_raster_fingerprints(
+        self, tiled_layer, detector, max_plane_pixels
+    ):
+        """Each window keys as raster_fingerprint of its raster slice.
+
+        The cache is seeded with one distinct score per expected key, so
+        a window keyed any other way misses, gets scored, and shows.
+        """
+        plane = rasterize_region(tiled_layer, REGION, 8)
+        centers = list(iter_tile_centers(REGION, 768, 256))
+        expected = [
+            raster_fingerprint(plane.window(Rect.from_center(x, y, 768, 768)))
+            for x, y in centers
+        ]
+        seeded = {
+            key: (i + 1) / 1024 for i, key in enumerate(dict.fromkeys(expected))
+        }
+        cache = ScoreCache()
+        for key, score in seeded.items():
+            cache.put(key, score)
+        engine = ScanEngine(
+            detector(),
+            config=EngineConfig.from_kwargs(
+                raster_plane=True, max_plane_pixels=max_plane_pixels
+            ),
+            cache=cache,
+        )
+        report = engine.scan(tiled_layer, REGION, keep_clips=False)
+        counters = report.telemetry.counters
+        if max_plane_pixels < 32_000_000:
+            # every band is one segment of one window row
+            assert counters["raster_bands"] > 14
+        assert counters.get("scored", 0) == 0
+        assert report.centers == centers
+        assert report.scores.tolist() == [seeded[k] for k in expected]
 
 
 class TestEmptyInputRegressions:
