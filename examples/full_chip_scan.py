@@ -74,7 +74,7 @@ def main():
     )
     result = engine.scan(layer, BLOCK, oracle=oracle)
     print(
-        f"  {len(result.clips)} clip windows, {result.n_flagged} flagged "
+        f"  {len(result.centers)} clip windows, {result.n_flagged} flagged "
         f"({100 * result.flag_ratio:.0f}% of full simulation cost), "
         f"{100 * result.dedup_ratio:.0f}% resolved by the dedup cache"
     )

@@ -169,7 +169,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
         return 2
     print(
-        f"{len(result.clips)} windows, {result.n_flagged} flagged "
+        f"{len(result.centers)} windows, {result.n_flagged} flagged "
         f"({100 * result.flag_ratio:.0f}%)"
     )
     for row in _render_heat(result.heat_map(), detector.threshold):

@@ -13,24 +13,32 @@ stable, single-process, score-everything entry point layered on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry.layout import Clip, Layer
+from ..geometry.layout import Clip, Layer, extract_clip
 from ..geometry.rect import Rect
 from .detector import Detector
 
 
 @dataclass
 class ScanResult:
-    """Outcome of sweeping one layer."""
+    """Outcome of sweeping one layer.
+
+    A result holds window centers and geometry, not clips: ``clips`` and
+    :meth:`flagged_clips` cut windows out of ``layer`` when called, and
+    :meth:`hotspot_regions` needs only ``core_nm``.  ``layer`` is the
+    scanned layer of a live scan; it is left out of repr and equality.
+    """
 
     centers: List[Tuple[int, int]]
-    clips: List[Clip]
     scores: np.ndarray
-    flagged: np.ndarray  # bool per clip
-    confirmed: Optional[np.ndarray] = None  # bool per flagged clip (if verified)
+    flagged: np.ndarray  # bool per window
+    confirmed: Optional[np.ndarray] = None  # bool per flagged window (if verified)
+    window_nm: Optional[int] = None
+    core_nm: Optional[int] = None
+    layer: Optional[Layer] = field(default=None, repr=False, compare=False)
 
     @property
     def n_flagged(self) -> int:
@@ -39,17 +47,41 @@ class ScanResult:
     @property
     def flag_ratio(self) -> float:
         """Fraction of windows sent to verification (simulation cost)."""
-        return self.n_flagged / len(self.clips) if self.clips else 0.0
+        return self.n_flagged / len(self.centers) if self.centers else 0.0
+
+    @property
+    def clips(self) -> List[Clip]:
+        """Every window's clip, cut from ``layer`` on each access."""
+        return self._cut(range(len(self.centers)))
 
     def flagged_clips(self) -> List[Clip]:
-        return [c for c, f in zip(self.clips, self.flagged) if f]
+        return self._cut(np.flatnonzero(self.flagged))
+
+    def _cut(self, indices: Iterable[int]) -> List[Clip]:
+        if self.layer is None:
+            raise ValueError(
+                "this result has no layer to cut clips from "
+                "(a report rebuilt from JSON carries centers only)"
+            )
+        return [
+            extract_clip(
+                self.layer, self.centers[i], self.window_nm, self.core_nm
+            )
+            for i in indices
+        ]
 
     def hotspot_regions(self) -> List[Rect]:
-        """Core regions of flagged clips (confirmed ones if verified)."""
+        """Core regions of flagged windows (confirmed ones if verified)."""
+        if self.core_nm is None:
+            raise ValueError(
+                "this result has no core_nm to build core regions from "
+                "(a report rebuilt from JSON carries centers only)"
+            )
+        idx = np.flatnonzero(self.flagged)
         if self.confirmed is not None:
-            flagged = self.flagged_clips()
-            return [c.core for c, ok in zip(flagged, self.confirmed) if ok]
-        return [c.core for c in self.flagged_clips()]
+            idx = idx[np.asarray(self.confirmed, dtype=bool)]
+        size = self.core_nm
+        return [Rect.from_center(*self.centers[i], size, size) for i in idx]
 
     def heat_map(self) -> np.ndarray:
         """Scores as a (rows, cols) grid, row 0 at the bottom of the region."""
@@ -81,8 +113,9 @@ def scan_layer(
     This is the compatibility entry point: it delegates to
     :class:`repro.runtime.ScanEngine` configured to match the historical
     contract exactly — in-process, every window scored (no dedup cache),
-    every clip retained on the result, scoring on the per-clip reference
-    path (no raster-plane fast path).  Production scans should construct
+    scoring on the per-clip reference path (no raster-plane fast path).
+    The result keeps ``layer``, so ``clips`` and ``flagged_clips()`` cut
+    windows when asked.  Production scans should construct
     a :class:`~repro.runtime.ScanEngine` directly to get streaming,
     memoization, worker pools, raster-plane batching, and
     cascade/telemetry reporting.

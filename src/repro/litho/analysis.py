@@ -246,9 +246,11 @@ def find_necks(
 
     ``exclude`` masks pixels that must not be reported (line-end tip zones,
     where width collapse is ordinary pullback handled by the EPE check).
+    A print with no background pixel has no width to measure (scipy would
+    measure to a virtual pixel above row 0), so it has no necks.
     """
     design = DesignState.of(design_labels)
-    if design.count == 0:
+    if design.count == 0 or printed.all():
         return []
     centerline = design.centerline(centerline_frac)
     if exclude is not None:

@@ -5,9 +5,9 @@ every clip, score once, re-score repeats), the engine is built for the
 chip-scale workload the runtime figures motivate:
 
 * **streaming tiles** — windows come from
-  :func:`~repro.geometry.layout.iter_tile_centers` in bounded chunks; the
-  full clip population is never materialized unless the caller asks to
-  keep it for report compatibility,
+  :func:`~repro.geometry.layout.iter_tile_centers` in bounded chunks and
+  the report keeps centers, not clips: the full clip population is never
+  materialized, and only verification cuts the flagged windows it reads,
 * **dedup scoring** — a :class:`~repro.runtime.cache.ScoreCache` keyed on
   the canonical clip fingerprint scores each distinct pattern once per
   scan (and, with a cache directory, once *ever*); repeated cells make
@@ -44,8 +44,8 @@ raster band, or slices of a band's feature tensor) yields chunks in
 global row-major order, and one runner either streams them through the
 pool (no cache) or keys every window in the same single pass and sends
 each unseen pattern's exemplar to the pool as soon as a batch of them
-has accumulated (cache).  Checkpoint, kept-clip, telemetry and span code
-lives in the runner, once for every source.
+has accumulated (cache).  Checkpoint, telemetry and span code lives in
+the runner, once for every source.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -74,7 +74,6 @@ from .. import contracts
 from ..core.detector import supports_raster_scan
 from ..core.scan import ScanResult
 from ..geometry.layout import (
-    Clip,
     Layer,
     clip_fingerprint,
     count_tile_centers,
@@ -108,13 +107,13 @@ REPORT_SCHEMA = 2
 class ScanReport(ScanResult):
     """ScanResult plus runtime telemetry — what the engine returns.
 
-    ``clips`` is populated only when the engine ran with
-    ``keep_clips=True`` (the default, for drop-in compatibility);
-    flagged windows are *always* available via :meth:`flagged_clips`,
-    which falls back to the separately retained ``flagged_windows``.
+    Like every :class:`~repro.core.scan.ScanResult` it holds centers and
+    window geometry, and a live scan's report also holds the scanned
+    layer, so ``clips`` and :meth:`flagged_clips` cut windows when
+    called.  A report rebuilt from JSON has no layer and no geometry:
+    both raise ``ValueError``, as does :meth:`hotspot_regions`.
     """
 
-    flagged_windows: List[Clip] = field(default_factory=list)
     telemetry: Optional[Telemetry] = None
     cascade_stats: Optional[CascadeStats] = None
     n_windows: int = 0
@@ -146,11 +145,6 @@ class ScanReport(ScanResult):
     def windows_per_s(self) -> float:
         return self.n_windows / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
-    def flagged_clips(self) -> List[Clip]:
-        if self.clips:
-            return super().flagged_clips()
-        return list(self.flagged_windows)
-
     def summary(self) -> str:
         lines = [
             f"{self.n_windows} windows, {self.n_flagged} flagged "
@@ -172,8 +166,8 @@ class ScanReport(ScanResult):
         Carries everything numeric — centers, scores, flags, confirmed
         verdicts, telemetry (losslessly, via
         :meth:`~repro.runtime.telemetry.Telemetry.to_state`), cascade
-        stats, and the summary fields.  Geometry payloads (``clips``,
-        ``flagged_windows``) are deliberately *not* serialized: they are
+        stats, and the summary fields.  Geometry (the layer, the window
+        and core sizes) is deliberately *not* serialized: clips are
         derivable from the layer plus ``centers`` and would dominate the
         wire size.  Keys are sorted, so ``from_json`` → ``to_json``
         round-trips byte-identically.
@@ -224,7 +218,7 @@ class ScanReport(ScanResult):
         ``shard_id`` / ``plan_digest`` fields default to None, so a
         migrated report re-serializes as a valid schema-2 document.
         Documents from a *newer* schema are refused; the rebuilt report
-        has empty ``clips`` / ``flagged_windows`` (see :meth:`to_json`).
+        has no layer or window geometry (see :meth:`to_json`).
         """
         schema = payload.get("schema")
         if schema not in (1, REPORT_SCHEMA):
@@ -236,7 +230,6 @@ class ScanReport(ScanResult):
         plan_digest = payload.get("plan_digest")
         return cls(
             centers=[(int(x), int(y)) for x, y in payload["centers"]],
-            clips=[],
             scores=np.asarray(payload["scores"], dtype=np.float64),
             flagged=np.asarray(payload["flagged"], dtype=bool),
             confirmed=(
@@ -244,7 +237,6 @@ class ScanReport(ScanResult):
                 if payload["confirmed"] is None
                 else np.asarray(payload["confirmed"], dtype=bool)
             ),
-            flagged_windows=[],
             telemetry=(
                 None
                 if payload["telemetry"] is None
@@ -405,15 +397,12 @@ class _WindowSource:
     goes with the window kind:
 
     * ``map_scores`` — the :class:`WorkerPool` entry point for batches,
-    * ``pack`` — a list of exemplar windows -> one pool batch,
-    * ``clips`` — ``(chunk_centers, windows or None)`` -> the chunk's
-      :class:`Clip` objects for ``keep_clips`` (clip windows are reused).
+    * ``pack`` — a list of exemplar windows -> one pool batch.
     """
 
     chunks: Iterator[Tuple[Centers, Callable[[], Sequence]]]
     map_scores: Callable[[Iterable], Iterator[np.ndarray]]
     pack: Callable[[list], object]
-    clips: Callable[[Centers, Optional[Sequence]], List[Clip]]
 
 
 class ScanEngine:
@@ -514,13 +503,14 @@ class ScanEngine:
 
         Mirrors :func:`~repro.core.scan.scan_layer` (including the
         ``ValueError`` on a region smaller than one window) and adds the
-        engine behaviors; ``keep_clips=False`` drops the per-window clip
-        list for chip-scale runs where only flagged windows matter.
-        With a checkpoint directory configured, ``resume=True`` restores
-        a prior interrupted scan's progress (refusing a checkpoint from
-        a different scan config) and continues to a report
-        byte-identical to an uninterrupted run.  :meth:`start` is the
-        non-blocking counterpart.
+        engine behaviors.  The report holds centers, window geometry and
+        ``layer``; its clips are cut only when asked for, and a verifier
+        is handed only the flagged windows.  ``keep_clips`` is accepted
+        and ignored.  With a checkpoint directory configured,
+        ``resume=True`` restores a prior interrupted scan's progress
+        (refusing a checkpoint from a different scan config) and
+        continues to a report byte-identical to an uninterrupted run.
+        :meth:`start` is the non-blocking counterpart.
         """
         return self._scan(
             layer,
@@ -529,7 +519,6 @@ class ScanEngine:
             core_nm=core_nm,
             step_nm=step_nm,
             oracle=oracle,
-            keep_clips=keep_clips,
             resume=resume,
         )
 
@@ -541,7 +530,6 @@ class ScanEngine:
         core_nm: int = 256,
         step_nm: Optional[int] = None,
         oracle=None,
-        keep_clips: bool = True,
         resume: bool = False,
     ) -> "ScanSession":
         """Run :meth:`scan` on a background thread; return its session.
@@ -559,7 +547,6 @@ class ScanEngine:
                 core_nm=core_nm,
                 step_nm=step_nm,
                 oracle=oracle,
-                keep_clips=keep_clips,
                 resume=resume,
                 progress_hook=hook,
             )
@@ -573,7 +560,6 @@ class ScanEngine:
         core_nm: int = 256,
         step_nm: Optional[int] = None,
         oracle=None,
-        keep_clips: bool = True,
         resume: bool = False,
         progress_hook=None,
     ) -> ScanReport:
@@ -645,9 +631,7 @@ class ScanEngine:
                         layer, region, window_nm, core_nm, step, scan_path,
                         pool, telemetry,
                     )
-                    centers, clips, scores = self._run(
-                        source, keep_clips, ckpt, obs, telemetry
-                    )
+                    centers, scores = self._run(source, ckpt, obs, telemetry)
 
                 contracts.require(
                     "(n,):float64",
@@ -660,12 +644,13 @@ class ScanEngine:
                 contracts.require(
                     "(n,):bool", flagged, func="ScanEngine.scan", n=len(centers)
                 )
+                n_flagged = int(flagged.sum())
                 with tracer.span("verify", kind="phase") as verify_span:
-                    flagged_windows = self._flagged_windows(
-                        layer, centers, clips, flagged, window_nm, core_nm
+                    confirmed = self._verify(
+                        layer, centers, flagged, window_nm, core_nm, oracle,
+                        telemetry,
                     )
-                    confirmed = self._verify(flagged_windows, oracle, telemetry)
-                    verify_span.set(flagged=len(flagged_windows))
+                    verify_span.set(flagged=n_flagged)
                 elapsed = perf_counter() - t0
                 telemetry.add_time("total", elapsed)
                 infer_after = _sum_infer_stats(self.detector)
@@ -701,7 +686,7 @@ class ScanEngine:
                     n_scored=telemetry.counter("scored"),
                     cache_hits=telemetry.counter("cache_hits")
                     + telemetry.counter("dedup_hits"),
-                    flagged=len(flagged_windows),
+                    flagged=n_flagged,
                 )
         except BaseException:  # lint: disable=broad-except  (close the trace file on ANY exit — incl. KeyboardInterrupt — then re-raise)
             tracer.close()
@@ -712,11 +697,12 @@ class ScanEngine:
         stats = getattr(self.detector, "stats", None)
         report = ScanReport(
             centers=centers,
-            clips=clips if keep_clips else [],
             scores=scores,
             flagged=flagged,
             confirmed=confirmed,
-            flagged_windows=flagged_windows,
+            window_nm=window_nm,
+            core_nm=core_nm,
+            layer=layer,
             telemetry=telemetry,
             cascade_stats=stats if isinstance(stats, CascadeStats) else None,
             n_windows=len(centers),
@@ -853,17 +839,14 @@ class ScanEngine:
         chunk = self.config.batch.chunk_clips
         keyed = self.cache is not None
 
-        def extract(chunk_centers: Centers) -> List[Clip]:
-            with telemetry.timer("extract"):
-                return [
-                    extract_clip(layer, c, window_nm, core_nm)
-                    for c in chunk_centers
-                ]
-
         if scan_path == "clip":
 
             def cut(chunk_centers: Centers):
-                clips = extract(chunk_centers)
+                with telemetry.timer("extract"):
+                    clips = [
+                        extract_clip(layer, c, window_nm, core_nm)
+                        for c in chunk_centers
+                    ]
                 if not keyed:
                     return clips
                 with telemetry.timer("dedup"):
@@ -876,9 +859,6 @@ class ScanEngine:
                 ),
                 map_scores=pool.map_scores,
                 pack=list,
-                clips=lambda cc, windows: (
-                    extract(cc) if windows is None else windows
-                ),
             )
         block = self._plane_feature_block(window_nm, step)
         return _WindowSource(
@@ -895,7 +875,6 @@ class ScanEngine:
                 else pool.map_scores_features
             ),
             pack=np.stack,
-            clips=lambda cc, windows: extract(cc),
         )
 
     def _plane_feature_block(
@@ -1021,30 +1000,27 @@ class ScanEngine:
     # the runner
     # ------------------------------------------------------------------
     def _run(
-        self, source: _WindowSource, keep_clips, ckpt, obs, telemetry
-    ) -> Tuple[Centers, List[Clip], np.ndarray]:
-        """Score every window ``source`` yields; return centers/clips/scores.
+        self, source: _WindowSource, ckpt, obs, telemetry
+    ) -> Tuple[Centers, np.ndarray]:
+        """Score every window ``source`` yields; return centers and scores.
 
         Without a cache the windows stream through the pool
         (:meth:`_stream`); with one, each distinct pattern is scored once
-        (:meth:`_dedup`).  Centers, kept clips and the window/chunk
-        counters are recorded here, once, for both.
+        (:meth:`_dedup`).  Centers and the window/chunk counters are
+        recorded here, once, for both; a chunk replayed from a
+        checkpoint was never cut and counts no chunk.
         """
         centers: Centers = []
-        clips: List[Clip] = []
 
-        def admit(chunk_centers: Centers, windows) -> None:
+        def admit(chunk_centers: Centers, cut: bool = True) -> None:
             centers.extend(chunk_centers)
-            if keep_clips:
-                clips.extend(source.clips(chunk_centers, windows))
             telemetry.count("windows", len(chunk_centers))
-            if windows is not None:
+            if cut:
                 telemetry.count("chunks")
                 telemetry.observe("chunk_clips", len(chunk_centers))
 
         score = self._stream if self.cache is None else self._dedup
-        scores = score(source, admit, ckpt, obs, telemetry)
-        return centers, clips, scores
+        return centers, score(source, admit, ckpt, obs, telemetry)
 
     def _stream(self, source, admit, ckpt, obs, telemetry) -> np.ndarray:
         """No-cache mode: every chunk's batch goes straight to the pool.
@@ -1065,12 +1041,12 @@ class ScanEngine:
                 )
                 if part is not None:
                     prefix.append(part)
-                    admit(chunk_centers, None)
+                    admit(chunk_centers, cut=False)
                     telemetry.count("resume_hits", len(chunk_centers))
                     obs.tick("resume")
                     continue
                 windows = materialize()
-                admit(chunk_centers, windows)
+                admit(chunk_centers)
                 yield windows
 
         parts: List[np.ndarray] = []
@@ -1138,7 +1114,7 @@ class ScanEngine:
                             if len(pending) == chunk:
                                 full.append(take())
                 keys.extend(chunk_keys)
-                admit(chunk_centers, windows)
+                admit(chunk_centers)
                 obs.tick("fingerprint")
                 for exemplars in full:
                     yield source.pack(exemplars)
@@ -1168,21 +1144,14 @@ class ScanEngine:
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
-    def _flagged_windows(
-        self, layer, centers, clips, flagged, window_nm, core_nm
-    ) -> List[Clip]:
-        """Clips of flagged windows, re-extracting when not retained."""
-        idx = np.flatnonzero(flagged)
-        if clips:
-            return [clips[i] for i in idx]
-        return [
-            extract_clip(layer, centers[i], window_nm, core_nm) for i in idx
-        ]
-
     def _verify(
-        self, flagged_windows: List[Clip], oracle, telemetry
+        self, layer, centers, flagged, window_nm, core_nm, oracle, telemetry
     ) -> Optional[np.ndarray]:
-        """Oracle-confirm flagged windows (deduped by pattern)."""
+        """Oracle-confirm flagged windows (deduped by pattern).
+
+        Each flagged window is cut once, for the verifier; with no
+        verifier nothing is cut.
+        """
         verifier = oracle
         if verifier is None and isinstance(self.detector, CascadeDetector):
             verifier = self.detector.verifier
@@ -1193,10 +1162,12 @@ class ScanEngine:
             and isinstance(self.detector, CascadeDetector)
             and self.detector.verifier is not None
         )
-        confirmed = np.empty(len(flagged_windows), dtype=bool)
+        idx = np.flatnonzero(flagged)
+        confirmed = np.empty(len(idx), dtype=bool)
         verdict_by_fp: Dict[str, bool] = {}
         with telemetry.timer("verify"):
-            for i, clip in enumerate(flagged_windows):
+            for i, j in enumerate(idx):
+                clip = extract_clip(layer, centers[j], window_nm, core_nm)
                 fp = clip_fingerprint(clip)
                 if fp not in verdict_by_fp:
                     if use_cascade:
@@ -1208,7 +1179,7 @@ class ScanEngine:
                     verdict_by_fp[fp] = verdict
                     telemetry.count("verified_unique")
                 confirmed[i] = verdict_by_fp[fp]
-        telemetry.count("verified", len(flagged_windows))
+        telemetry.count("verified", len(idx))
         return confirmed
 
 

@@ -130,7 +130,7 @@ def metrics_snapshot(report) -> Dict[str, object]:
             "scan_path": report.scan_path,
             "n_windows": report.n_windows,
             "n_scored": report.n_scored,
-            "n_flagged": len(report.flagged_windows),
+            "n_flagged": report.n_flagged,
             "cache_hits": report.cache_hits,
             "dedup_ratio": (
                 1.0 - report.n_scored / report.n_windows

@@ -59,6 +59,8 @@ from ..durable import (
     load_npz,
     quarantine_file,
 )
+# extract_clip is not called here; it stays importable under this name
+# because perfbench's traced ledger wraps it here
 from ..geometry import Layer, Layout, Rect, extract_clip, region_fingerprint
 from .config import EngineConfig
 from .engine import REPORT_SCHEMA, ScanEngine, ScanReport, detector_tag
@@ -446,11 +448,10 @@ def merge_reports(
     byte-identical to an unsharded scan of the same region.
 
     ``reports`` must align with ``plan.shards`` (same order and window
-    counts; shard provenance fields, when present, must match).  Passing
-    ``layer`` gives the merged report the flagged windows' clips: a live
-    shard scan's report already carries them, and only shards that were
-    replayed, reused from a manifest or round-tripped through JSON
-    (which drops clips) are re-extracted.
+    counts; shard provenance fields, when present, must match).  The
+    merged report takes its window geometry from the plan; passing
+    ``layer`` lets its ``clips`` and ``flagged_clips()`` cut windows when
+    asked.  The merge itself cuts nothing.
     """
     if len(reports) != len(plan.shards):
         raise ValueError(
@@ -469,7 +470,6 @@ def merge_reports(
     scores2d = np.zeros((plan.ny, plan.nx), dtype=np.float64)
     flagged2d = np.zeros((plan.ny, plan.nx), dtype=bool)
     conf2d = np.full((plan.ny, plan.nx), -1, dtype=np.int8)
-    carried = {}  # global window index -> clip from a live shard scan
     telemetry = Telemetry()
     for spec, rep in zip(plan.shards, reports):
         if rep.n_windows != spec.n_windows:
@@ -498,12 +498,6 @@ def merge_reports(
         own_cols = slice(spec.own_x[0], spec.own_x[1])
         scores2d[own_rows, own_cols] = local_scores[r0:r1, c0:c1]
         flagged2d[own_rows, own_cols] = local_flags[r0:r1, c0:c1]
-        ys, xs = np.nonzero(local_flags)  # row-major: flagged_windows order
-        if layer is not None and len(ys) == len(rep.flagged_windows):
-            for clip, y, x in zip(rep.flagged_windows, ys, xs):
-                if r0 <= y < r1 and c0 <= x < c1:
-                    gy, gx = spec.scan_y[0] + y, spec.scan_x[0] + x
-                    carried[int(gy * plan.nx + gx)] = clip
         if rep.confirmed is not None:
             local_conf = np.full(h * w, -1, dtype=np.int8)
             local_conf[np.flatnonzero(local_flags.ravel())] = np.asarray(
@@ -526,23 +520,14 @@ def merge_reports(
         confirmed: Optional[np.ndarray] = flat_conf.astype(bool)
     else:
         confirmed = None
-    centers = plan.centers()
-    flagged_windows = []
-    if layer is not None:
-        for i in np.flatnonzero(flagged).tolist():
-            clip = carried.get(i)
-            if clip is None:
-                clip = extract_clip(
-                    layer, centers[i], plan.window_nm, plan.core_nm
-                )
-            flagged_windows.append(clip)
     return ScanReport(
-        centers=centers,
-        clips=[],
+        centers=plan.centers(),
         scores=scores,
         flagged=flagged,
         confirmed=confirmed,
-        flagged_windows=flagged_windows,
+        window_nm=plan.window_nm,
+        core_nm=plan.core_nm,
+        layer=layer,
         telemetry=telemetry,
         cascade_stats=None,
         n_windows=plan.n_windows,
@@ -719,8 +704,10 @@ class ShardRunner:
                 self._detector_tag(),
                 float(self.detector.threshold),
             )
+        # a one-shard plan has no congruent copy to replay, so only a
+        # manifest read or written needs its fingerprint
         need_fp = (
-            chip.instance_dedup
+            (chip.instance_dedup and not single)
             or manifest is not None
             or manifest_out is not None
         )
@@ -834,7 +821,6 @@ class ShardRunner:
         """
         return ScanReport(
             centers=plan.shard_centers(spec),
-            clips=[],
             scores=np.array(src.scores, dtype=np.float64, copy=True),
             flagged=np.array(src.flagged, dtype=bool, copy=True),
             confirmed=(
@@ -842,7 +828,8 @@ class ShardRunner:
                 if src.confirmed is None
                 else np.array(src.confirmed, dtype=bool, copy=True)
             ),
-            flagged_windows=[],
+            window_nm=plan.window_nm,
+            core_nm=plan.core_nm,
             telemetry=None,
             cascade_stats=None,
             n_windows=spec.n_windows,
@@ -899,11 +886,11 @@ class ShardRunner:
             confirmed = verdicts.astype(bool)
         return ScanReport(
             centers=plan.shard_centers(spec),
-            clips=[],
             scores=scores.copy(),
             flagged=flags.copy(),
             confirmed=confirmed,
-            flagged_windows=[],
+            window_nm=plan.window_nm,
+            core_nm=plan.core_nm,
             telemetry=None,
             cascade_stats=None,
             n_windows=spec.n_windows,
@@ -943,7 +930,6 @@ class ShardRunner:
                 core_nm=plan.core_nm,
                 step_nm=plan.step_nm,
                 oracle=oracle,
-                keep_clips=False,
                 resume=resume and cfg.checkpoint.dir is not None,
             )
             rep.shard_id = spec.shard_id

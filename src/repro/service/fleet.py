@@ -394,7 +394,6 @@ class WorkerFleet:
                 window_nm=plan.window_nm,
                 core_nm=plan.core_nm,
                 step_nm=plan.step_nm,
-                keep_clips=False,
                 resume=resume,
             )
             report.shard_id = spec.shard_id
@@ -422,7 +421,6 @@ class WorkerFleet:
             window_nm=request["window_nm"],
             core_nm=request["core_nm"],
             step_nm=request["step_nm"],
-            keep_clips=False,
             resume=resume,
         )
         return report.to_json(), metrics_snapshot(report)

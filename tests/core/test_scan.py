@@ -122,7 +122,6 @@ class TestScanLayer:
 
         result = ScanResult(
             centers=[(0, 0), (256, 0), (0, 256)],  # missing (256, 256)
-            clips=[],
             scores=np.array([0.1, 0.2, 0.3]),
             flagged=np.array([False, False, False]),
         )

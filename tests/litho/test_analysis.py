@@ -109,6 +109,16 @@ class TestNecks:
         labels = np.zeros((8, 8), dtype=np.int64)
         assert find_necks(labels, np.zeros((8, 8), dtype=bool)) == []
 
+    def test_edge_to_edge_print_has_no_necks(self):
+        """A print with no background pixel has no width to measure; the
+        distance transform of it reads distances to a pixel beyond row 0,
+        which made a wire on the left border look necked."""
+        design = np.zeros((32, 32))
+        design[:, 0:6] = 1.0
+        labels, _ = design_components(design)
+        printed = np.ones_like(design, dtype=bool)
+        assert find_necks(labels, printed, min_width_ratio=0.7) == []
+
 
 class TestSpots:
     def test_no_extra_printing(self):

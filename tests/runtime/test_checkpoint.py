@@ -168,7 +168,7 @@ def _matrix_engine(source, mode, tmp_path=None, faults=None):
 def test_every_window_source_resumes_byte_identical(
     layer, region, tmp_path, source, mode
 ):
-    clean = _matrix_engine(source, mode).scan(layer, region, keep_clips=True)
+    clean = _matrix_engine(source, mode).scan(layer, region)
     expect_path = "clip" if source == "clip" else "raster"
     assert clean.scan_path == expect_path
     planes = clean.telemetry.counter("feature_planes")
@@ -180,11 +180,11 @@ def test_every_window_source_resumes_byte_identical(
         source, mode, tmp_path, faults=FaultInjector("nan_score@3")
     )
     with pytest.raises(ContractViolation):
-        interrupted.scan(layer, region, keep_clips=True)
+        interrupted.scan(layer, region)
     assert _ckpt_path(tmp_path).exists()
 
     report = _matrix_engine(source, mode, tmp_path).scan(
-        layer, region, keep_clips=True, resume=True
+        layer, region, resume=True
     )
     assert report.scan_path == expect_path
     assert report.centers == clean.centers

@@ -19,6 +19,7 @@ from repro.runtime import (
     ScanReport,
     ScoreCache,
 )
+from repro.service import canonical_report_json
 from repro.shallow import make_logistic_density
 
 from .conftest import DensityDetector, GradedDensityDetector, tiny_grating_dataset
@@ -111,14 +112,36 @@ class TestReport:
         assert report.windows_per_s > 0
         assert "windows" in report.summary()
 
-    def test_keep_clips_false_retains_flagged(self, layer, region):
+    def test_keep_clips_is_accepted_and_ignored(self, layer, region):
+        kept = ScanEngine(DensityDetector(0.3)).scan(layer, region)
         report = ScanEngine(DensityDetector(0.3)).scan(
             layer, region, keep_clips=False
         )
-        assert report.clips == []
+        assert canonical_report_json(report.to_json()) == (
+            canonical_report_json(kept.to_json())
+        )
+        assert report.clips == kept.clips
+        assert report.flagged_clips() == kept.flagged_clips()
         assert len(report.flagged_clips()) == report.n_flagged
         assert len(report.hotspot_regions()) == report.n_flagged
         assert report.flag_ratio > 0  # n_windows-based, not clips-based
+
+    def test_report_without_geometry_fails_loudly(self, layer, region):
+        report = ScanEngine(DensityDetector(0.3)).scan(layer, region)
+        assert report.n_flagged > 0
+        assert "layer" not in repr(report)
+        loaded = ScanReport.from_json(report.to_json())
+        with pytest.raises(ValueError, match="no layer"):
+            loaded.clips
+        with pytest.raises(ValueError, match="no layer"):
+            loaded.flagged_clips()
+        with pytest.raises(ValueError, match="no core_nm"):
+            loaded.hotspot_regions()
+        # geometry without the layer: regions need no clip
+        loaded.window_nm, loaded.core_nm = 768, 256
+        assert loaded.hotspot_regions() == report.hotspot_regions()
+        with pytest.raises(ValueError, match="no layer"):
+            loaded.flagged_clips()
 
     def test_telemetry_embedded(self, layer, region):
         report = ScanEngine(DensityDetector(0.3)).scan(layer, region)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.geometry import (
     clip_fingerprint,
     region_fingerprint,
 )
-from repro.runtime import shard as shard_module  # lint: disable=no-deep-runtime-import  (counts extract_clip calls where merge_reports looks them up)
+from repro.runtime import shard as shard_module  # lint: disable=no-deep-runtime-import  (counts the calls the shard layer makes through its own names)
 from repro.runtime import (
     EngineConfig,
     FaultInjector,
@@ -253,9 +255,10 @@ def test_merged_report_recovers_flagged_window_geometry(layer, region):
     sharded = scan_chip(
         layer, detector, EngineConfig.from_kwargs(shards=4), region=region
     )
-    assert len(sharded.flagged_windows) == len(mono.flagged_windows)
-    for ours, theirs in zip(sharded.flagged_windows, mono.flagged_windows):
-        assert clip_fingerprint(ours) == clip_fingerprint(theirs)
+    ours, theirs = sharded.flagged_clips(), mono.flagged_clips()
+    assert len(ours) == len(theirs) == mono.n_flagged > 0
+    for a, b in zip(ours, theirs):
+        assert clip_fingerprint(a) == clip_fingerprint(b)
 
 
 # ----------------------------------------------------------------------
@@ -278,9 +281,9 @@ def _shard_reports(detector, layer, plan):
     return reports
 
 
-def _count_extractions(monkeypatch, *modules):
-    """Route ``extract_clip`` in ``modules`` through a call counter."""
-    real = shard_module.extract_clip
+def _count_calls(monkeypatch, name, *modules):
+    """Route ``name`` in ``modules`` through a call counter."""
+    real = getattr(modules[0], name)
     calls = []
 
     def counting(*args, **kwargs):
@@ -288,46 +291,80 @@ def _count_extractions(monkeypatch, *modules):
         return real(*args, **kwargs)
 
     for module in modules:
-        monkeypatch.setattr(module, "extract_clip", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
-def test_merge_reuses_live_clips_and_reextracts_the_rest(
-    layer, region, monkeypatch
-):
+def test_merge_cuts_no_clips(layer, region, monkeypatch):
+    """Neither live nor JSON-loaded shards make the merge cut a clip;
+    the merged report cuts the flagged windows only when asked."""
+    scan_module = importlib.import_module("repro.core.scan")
     detector = GradedDensityDetector()
     plan = ShardPlanner(4).plan(region)
     live = _shard_reports(detector, layer, plan)
     loaded = [ScanReport.from_json(r.to_json()) for r in live]
     mono = mono_scan(detector, layer, region)
-    want = [clip_fingerprint(c) for c in mono.flagged_windows]
-    calls = _count_extractions(monkeypatch, shard_module)
-
-    merged = merge_reports(plan, live, layer=layer)
-    assert calls == []  # live shard scans carry their flagged clips
-    assert [clip_fingerprint(c) for c in merged.flagged_windows] == want
-
-    # JSON drops clips: those shards' owned flags are re-extracted
-    merged = merge_reports(plan, live[:2] + loaded[2:], layer=layer)
-    flags = merged.flagged.reshape(plan.ny, plan.nx)
-    owned_flags = sum(
-        int(flags[s.own_y[0] : s.own_y[1], s.own_x[0] : s.own_x[1]].sum())
-        for s in plan.shards[2:]
+    want = [clip_fingerprint(c) for c in mono.flagged_clips()]
+    calls = _count_calls(
+        monkeypatch, "extract_clip", shard_module, scan_module
     )
-    assert 0 < len(calls) == owned_flags < mono.n_flagged
-    assert [clip_fingerprint(c) for c in merged.flagged_windows] == want
+    for reports in (live, loaded, live[:2] + loaded[2:]):
+        merged = merge_reports(plan, reports, layer=layer)
+        assert calls == []
+        assert canonical(merged) == canonical(mono)
+    assert [clip_fingerprint(c) for c in merged.flagged_clips()] == want
+    assert len(calls) == mono.n_flagged > 0
+    assert merged.hotspot_regions() == mono.hotspot_regions()
 
 
-def test_single_shard_scan_extracts_each_flagged_clip_once(
-    fused_cnn, monkeypatch
-):
+def test_scan_chip_cuts_only_the_windows_it_verifies(fused_cnn, monkeypatch):
     from repro.runtime import engine as engine_module  # lint: disable=no-deep-runtime-import  (counts the scan's own extract_clip calls)
 
     layer, region = routed_block()
-    calls = _count_extractions(monkeypatch, shard_module, engine_module)
+    calls = _count_calls(
+        monkeypatch, "extract_clip", shard_module, engine_module
+    )
     report = scan_chip(layer, fused_cnn, region=region)
     assert report.scan_path == "raster"  # windows never became clips
-    assert len(calls) == report.n_flagged > 0
+    assert report.n_flagged > 0
+    assert calls == []  # no verifier: nothing is cut
+
+    verified = scan_chip(
+        layer, fused_cnn, region=region, oracle=DensityOracle()
+    )
+    assert np.array_equal(verified.flagged, report.flagged)
+    assert [args[1] for args in calls] == [
+        report.centers[i] for i in np.flatnonzero(report.flagged)
+    ]
+
+
+def test_single_shard_scan_fingerprints_only_for_a_manifest(
+    layer, region, tmp_path, monkeypatch
+):
+    """A one-shard plan has no congruent copy to replay: its region is
+    fingerprinted only when a manifest is read or written."""
+    detector = GradedDensityDetector()
+    calls = _count_calls(monkeypatch, "region_fingerprint", shard_module)
+    scan_chip(layer, detector, region=region)
+    assert calls == []
+
+    manifest = tmp_path / "chip-manifest.npz"
+    scan_chip(
+        layer, detector, EngineConfig.from_kwargs(manifest=manifest),
+        region=region,
+    )
+    assert len(calls) == 1
+    scan_chip(
+        layer, detector, EngineConfig.from_kwargs(rescan_from=manifest),
+        region=region,
+    )
+    assert len(calls) == 2
+
+    del calls[:]
+    scan_chip(
+        layer, detector, EngineConfig.from_kwargs(shards=4), region=region
+    )
+    assert len(calls) == 4
 
 
 def test_merge_rejects_misaligned_reports(layer, region):
