@@ -4,7 +4,8 @@ Three scenarios land in ``BENCH_chip.json`` at the repo root:
 
 * ``scaling`` — one routed block scanned as a 4-shard plan with 1 and
   4 shard workers.  The correctness gate is byte-identity to the
-  monolithic scan; the speedup is recorded, not gated (shared runners
+  monolithic scan; the speedup is recorded with the hardware it ran on
+  (CPUs and each loaded BLAS's threads), not gated (shared runners
   make wall-clock ratios flaky).
 * ``instance_dedup`` — an 8x8 ``replicate_block`` array scanned with
   pitch-snapped shards, fingerprint dedup on vs off.  Hierarchical
@@ -14,7 +15,6 @@ Three scenarios land in ``BENCH_chip.json`` at the repo root:
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -77,7 +77,7 @@ def _merge_bench_json(update):
 
 
 def test_chip_shard_worker_scaling(benchmark, suite, out_dir):
-    from repro.bench import write_table
+    from repro.bench import hardware, write_table
     from repro.runtime import EngineConfig, ScanEngine, scan_chip
 
     detector = _fitted_detector(suite)
@@ -124,9 +124,10 @@ def test_chip_shard_worker_scaling(benchmark, suite, out_dir):
         {
             "scaling": {
                 "shards": 4,
-                # shard workers are threads; wall-clock speedup needs
-                # cores (and GIL-free scoring), so record the machine
-                "cpus": os.cpu_count(),
+                # shard workers are threads: a wall-clock speedup needs
+                # free cores, and every BLAS pool competes for them, so
+                # record the CPUs and each loaded BLAS's thread count
+                "hardware": hardware(),
                 "mono_s": round(out["mono_s"], 3),
                 "results": rows,
             }

@@ -38,8 +38,3 @@ def create_extractor(name: str) -> FeatureExtractor:
 
 def available_extractors() -> List[str]:
     return sorted(_REGISTRY)
-
-
-def clear_extractors() -> None:
-    """Testing hook: empty the registry."""
-    _REGISTRY.clear()

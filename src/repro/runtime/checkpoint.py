@@ -66,6 +66,15 @@ def scan_config_hash(**fields) -> str:
     return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
 
 
+def layer_signature(layer) -> list:
+    """The cheap layer identity a resume key hashes: name, polygon
+    count and bounding box."""
+    if not layer.polygons:
+        return [layer.name, 0, None]
+    box = layer.bbox
+    return [layer.name, len(layer.polygons), [box.x1, box.y1, box.x2, box.y2]]
+
+
 class Checkpointer:
     """Engine-side driver: accumulate progress, save atomically, replay.
 

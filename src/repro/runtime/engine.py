@@ -91,7 +91,12 @@ from ..geometry.rasterize import (
 from ..geometry.rect import Rect
 from .cache import ScoreCache
 from .cascade import CascadeDetector, CascadeStats
-from .checkpoint import CHECKPOINT_NAME, Checkpointer, scan_config_hash
+from .checkpoint import (
+    CHECKPOINT_NAME,
+    Checkpointer,
+    layer_signature,
+    scan_config_hash,
+)
 from .config import EngineConfig
 from .faults import FaultInjector
 from .pool import WorkerPool
@@ -760,14 +765,6 @@ class ScanEngine:
             return None
         mode = "direct" if self.cache is None else "dedup"
         tag = detector_tag(self.detector)
-        if layer.polygons:
-            bbox = layer.bbox
-            layer_sig = [
-                layer.name, len(layer.polygons),
-                [bbox.x1, bbox.y1, bbox.x2, bbox.y2],
-            ]
-        else:
-            layer_sig = [layer.name, 0, None]
         config_hash = scan_config_hash(
             region=[region.x1, region.y1, region.x2, region.y2],
             window_nm=window_nm,
@@ -780,7 +777,7 @@ class ScanEngine:
             max_plane_pixels=self.config.raster.max_plane_pixels,
             detector=tag,
             threshold=float(self.detector.threshold),
-            layer=layer_sig,
+            layer=layer_signature(layer),
         )
         ckpt_dir = Path(ckpt_config.dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)

@@ -67,7 +67,7 @@ INFER_COUNTERS: Tuple[str, ...] = (
     "cascade_skip_matched",
 )
 
-#: full-chip shard fan-out / incremental re-scan counter family
+#: full-chip shard / incremental re-scan counter family
 #: (repro.runtime.shard); zero-seeded so monolithic scans expose the
 #: same key set as sharded ones
 SHARD_COUNTERS: Tuple[str, ...] = (
@@ -79,8 +79,6 @@ SHARD_COUNTERS: Tuple[str, ...] = (
     "rescan_shards_reused",
     "rescan_shards_rescored",
     "rescan_windows_reused",
-    "job_shards_spawned",
-    "job_chip_merged",
 )
 
 #: counters always present in a snapshot, zero-seeded when they never fired

@@ -11,13 +11,14 @@ monolithic scan — then layers hierarchy-aware reuse on top:
   default halo of one window extent, every window a shard owns sees the
   exact context a monolithic scan would, so its score is identical by
   construction.  Plans are pure data (:class:`ShardPlan`) with a stable
-  content digest and a JSON wire form.
+  content digest.
 * :class:`ShardRunner` executes the shards (``shard_workers``-way
   thread fan-out; each shard engine may itself spread scoring over a
   process :class:`~repro.runtime.pool.WorkerPool`).  Each shard
   checkpoints under its own subdirectory and its finished report is
-  persisted next to the checkpoints, so a killed shard resumes and
-  completed shards are never re-scanned.
+  persisted next to the checkpoints, keyed on the plan, detector,
+  threshold and layer, so a killed shard resumes and completed shards
+  are never re-scanned.
 * **Instance-level dedup** generalizes the window fingerprint cache:
   shards whose halo-expanded regions are exact translated copies
   (:func:`~repro.geometry.region_fingerprint`) are scored once and
@@ -62,6 +63,7 @@ from ..durable import (
 # extract_clip is not called here; it stays importable under this name
 # because perfbench's traced ledger wraps it here
 from ..geometry import Layer, Layout, Rect, extract_clip, region_fingerprint
+from .checkpoint import CheckpointMismatch, layer_signature, scan_config_hash
 from .config import EngineConfig
 from .engine import REPORT_SCHEMA, ScanEngine, ScanReport, detector_tag
 from .metrics import export_metrics
@@ -69,7 +71,8 @@ from .telemetry import Telemetry
 
 PathLike = Union[str, Path]
 
-#: bump when the ShardPlan JSON layout changes incompatibly
+#: hashed into every plan digest: changing it changes every digest, and
+#: orphans the chip manifests and shard report files keyed on them
 PLAN_SCHEMA = 1
 
 #: bump when the chip manifest layout changes incompatibly (2: the
@@ -189,7 +192,7 @@ class ShardPlan:
         ]
 
     # ------------------------------------------------------------------
-    # wire format
+    # digest
     # ------------------------------------------------------------------
     def _payload(self) -> Dict[str, object]:
         return {
@@ -219,50 +222,6 @@ class ShardPlan:
                 for s in self.shards
             ],
         }
-
-    def to_json(self) -> str:
-        """Versioned canonical JSON (sorted keys, digest-stable)."""
-        return json.dumps(self._payload(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, document: str) -> "ShardPlan":
-        payload = json.loads(document)
-        schema = payload.get("schema")
-        if schema != PLAN_SCHEMA:
-            raise ValueError(
-                f"unsupported ShardPlan schema {schema!r} "
-                f"(this build reads {PLAN_SCHEMA})"
-            )
-        region = Rect(*(int(v) for v in payload["region"]))
-        window = int(payload["window_nm"])
-        step = int(payload["step_nm"])
-        specs = []
-        for row in payload["shards"]:
-            sid, ix, iy, ox0, ox1, oy0, oy1, sx0, sx1, sy0, sy1 = (
-                int(v) for v in row
-            )
-            specs.append(
-                ShardSpec(
-                    shard_id=sid,
-                    ix=ix,
-                    iy=iy,
-                    own_x=(ox0, ox1),
-                    own_y=(oy0, oy1),
-                    scan_x=(sx0, sx1),
-                    scan_y=(sy0, sy1),
-                    region=_shard_region(region, window, step, (sx0, sx1), (sy0, sy1)),
-                )
-            )
-        return cls(
-            region=region,
-            window_nm=window,
-            core_nm=int(payload["core_nm"]),
-            step_nm=step,
-            halo_nm=int(payload["halo_nm"]),
-            nx=int(payload["nx"]),
-            ny=int(payload["ny"]),
-            shards=tuple(specs),
-        )
 
 
 def _shard_region(
@@ -645,6 +604,34 @@ class ChipManifest:
 # --------------------------------------------------------------------------
 # runner
 # --------------------------------------------------------------------------
+def _unscanned_report(
+    plan: ShardPlan,
+    spec: ShardSpec,
+    scores: np.ndarray,
+    flagged: np.ndarray,
+    confirmed: Optional[np.ndarray],
+    scan_path: str,
+) -> ScanReport:
+    """A report for ``spec`` whose scores were not scanned here.
+
+    Centers come from the plan and the report carries shard provenance;
+    nothing was scored, hit in a cache or timed, so those counts are
+    zero and there is no telemetry.
+    """
+    return ScanReport(
+        centers=plan.shard_centers(spec),
+        scores=scores,
+        flagged=flagged,
+        confirmed=confirmed,
+        window_nm=plan.window_nm,
+        core_nm=plan.core_nm,
+        n_windows=spec.n_windows,
+        scan_path=scan_path,
+        shard_id=spec.shard_id,
+        plan_digest=plan.digest,
+    )
+
+
 class ShardRunner:
     """Execute a :class:`ShardPlan` and merge the result.
 
@@ -656,11 +643,18 @@ class ShardRunner:
     multiprocess execution compose.
 
     Fault tolerance: a shard's finished report is persisted next to the
-    checkpoints the moment it completes.  If any shard dies, the
-    partial state stays on disk and a ``run(..., resume=True)`` reloads
-    completed shards verbatim, resumes the killed shard from its own
-    engine checkpoint, and merges to a report byte-identical to an
-    uninterrupted scan.
+    checkpoints the moment it completes, with a key over the plan
+    digest, detector tag, threshold and layer signature.  If any shard
+    dies, the partial state stays on disk and a ``run(...,
+    resume=True)`` reloads completed shards verbatim, resumes the killed
+    shard from its own engine checkpoint, and merges to a report
+    byte-identical to an uninterrupted scan.  A report whose key differs
+    raises :class:`~repro.runtime.checkpoint.CheckpointMismatch`, as the
+    engine checkpoint does.
+
+    This runner is the one implementation of congruence grouping,
+    replay, merge and shard telemetry; the service runs chip jobs
+    through :func:`scan_chip` too.
     """
 
     def __init__(
@@ -694,6 +688,10 @@ class ShardRunner:
             else Path(self.config.checkpoint.dir)
         )
         manifest_out = self._manifest_path(root)
+        # a one-shard plan is the engine scan: it persists no report
+        report_key = (
+            None if root is None or single else self._report_key(plan, layer)
+        )
         tele = Telemetry()
 
         manifest: Optional[ChipManifest] = None
@@ -718,19 +716,30 @@ class ShardRunner:
         reports: List[Optional[ScanReport]] = [None] * n_shards
 
         # 1) resume: reload reports of shards that already completed
-        if resume and root is not None and not single:
+        if resume and report_key is not None:
             for i, spec in enumerate(plan.shards):
                 path = self._report_path(root, spec)
                 try:
-                    rep = ScanReport.from_dict(
-                        load_json(path, (REPORT_SCHEMA,))
-                    )
+                    document = load_json(path, (REPORT_SCHEMA,))
                 except FileNotFoundError:
                     continue
                 except CorruptFile:
                     quarantine_file(path)
                     continue  # re-scan this shard
-                if rep.plan_digest == plan.digest and rep.shard_id == i:
+                stored = document.pop("key", None)
+                if stored is None:
+                    # written by a build that keyed no report: nothing
+                    # proves whose scores these are
+                    quarantine_file(path)
+                    continue
+                if stored != report_key:
+                    raise CheckpointMismatch(
+                        f"shard report {path} was written by a different "
+                        f"scan (key {stored} != {report_key}); pass "
+                        "resume=False (or a fresh checkpoint dir) to rescan"
+                    )
+                rep = ScanReport.from_dict(document)
+                if rep.shard_id == i:
                     reports[i] = rep
                     tele.count("shard_resumed")
 
@@ -775,8 +784,8 @@ class ShardRunner:
         # 4) scan the remaining shards, shard_workers at a time
         if to_scan:
             self._scan_shards(
-                layer, plan, to_scan, reports, root, single, oracle,
-                resume, tele,
+                layer, plan, to_scan, reports, root, single, report_key,
+                oracle, resume, tele,
             )
 
         # 5) replay the congruent copies from their canonical shard
@@ -800,7 +809,7 @@ class ShardRunner:
         if manifest_out is not None:
             assert fps is not None
             self._write_manifest(manifest_out, plan, fps, done)
-        if root is not None and not single:
+        if report_key is not None:
             for spec in plan.shards:  # finalize: the merge succeeded
                 path = self._report_path(root, spec)
                 if path.exists():
@@ -816,29 +825,19 @@ class ShardRunner:
 
         ``src`` must come from a shard with the same region fingerprint
         and scan grid shape; the scores/flags/verdicts are copied and
-        only the centers are re-derived for ``spec``'s placement.  Used
-        by the in-process runner and the service fleet's chip fan-out.
+        only the centers are re-derived for ``spec``'s placement.
         """
-        return ScanReport(
-            centers=plan.shard_centers(spec),
-            scores=np.array(src.scores, dtype=np.float64, copy=True),
-            flagged=np.array(src.flagged, dtype=bool, copy=True),
-            confirmed=(
+        return _unscanned_report(
+            plan,
+            spec,
+            np.array(src.scores, dtype=np.float64, copy=True),
+            np.array(src.flagged, dtype=bool, copy=True),
+            (
                 None
                 if src.confirmed is None
                 else np.array(src.confirmed, dtype=bool, copy=True)
             ),
-            window_nm=plan.window_nm,
-            core_nm=plan.core_nm,
-            telemetry=None,
-            cascade_stats=None,
-            n_windows=spec.n_windows,
-            n_scored=0,
-            cache_hits=0,
-            elapsed_s=0.0,
-            scan_path=src.scan_path,
-            shard_id=spec.shard_id,
-            plan_digest=plan.digest,
+            src.scan_path,
         )
 
     # ------------------------------------------------------------------
@@ -851,6 +850,17 @@ class ShardRunner:
         copies, so the runner's detector may still carry another backend.
         """
         return detector_tag(self.detector, self.config.batch.infer_backend)
+
+    def _report_key(self, plan: ShardPlan, layer: Layer) -> str:
+        """Whose scores a persisted shard report holds: the plan, the
+        detector and threshold, and the layer the engine checkpoint
+        also hashes."""
+        return scan_config_hash(
+            plan=plan.digest,
+            detector=self._detector_tag(),
+            threshold=float(self.detector.threshold),
+            layer=layer_signature(layer),
+        )
 
     def _manifest_path(self, root: Optional[Path]) -> Optional[Path]:
         if self.config.chip.manifest is not None:
@@ -884,22 +894,9 @@ class ShardRunner:
             if np.any(verdicts < 0):
                 return None
             confirmed = verdicts.astype(bool)
-        return ScanReport(
-            centers=plan.shard_centers(spec),
-            scores=scores.copy(),
-            flagged=flags.copy(),
-            confirmed=confirmed,
-            window_nm=plan.window_nm,
-            core_nm=plan.core_nm,
-            telemetry=None,
-            cascade_stats=None,
-            n_windows=spec.n_windows,
-            n_scored=0,
-            cache_hits=0,
-            elapsed_s=0.0,
-            scan_path=manifest.scan_path,
-            shard_id=spec.shard_id,
-            plan_digest=plan.digest,
+        return _unscanned_report(
+            plan, spec, scores.copy(), flags.copy(), confirmed,
+            manifest.scan_path,
         )
 
     def _scan_shards(
@@ -910,6 +907,7 @@ class ShardRunner:
         reports: List[Optional[ScanReport]],
         root: Optional[Path],
         single: bool,
+        report_key: Optional[str],
         oracle,
         resume: bool,
         tele: Telemetry,
@@ -935,8 +933,11 @@ class ShardRunner:
             rep.shard_id = spec.shard_id
             rep.plan_digest = plan.digest
             reports[i] = rep
-            if root is not None and not single:
-                dump_json(self._report_path(root, spec), rep.to_dict())
+            if report_key is not None:
+                dump_json(
+                    self._report_path(root, spec),
+                    {**rep.to_dict(), "key": report_key},
+                )
             self._progress(spec.shard_id, "scanned", reports, n_shards)
 
         workers = min(self.config.chip.shard_workers, len(to_scan))

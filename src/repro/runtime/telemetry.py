@@ -143,14 +143,6 @@ class Telemetry:
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    def counters_with_prefix(self, prefix: str) -> Dict[str, int]:
-        """All counters whose name starts with ``prefix`` (e.g. "fault_")."""
-        return {
-            name: n
-            for name, n in self.counters.items()
-            if name.startswith(prefix)
-        }
-
     def seconds(self, name: str) -> float:
         timer = self.timers.get(name)
         return timer.seconds if timer else 0.0

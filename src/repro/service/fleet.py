@@ -9,7 +9,11 @@ Each worker is one daemon thread looping claim → scan → settle:
   objects and run through a fresh :class:`~repro.runtime.ScanEngine`
   built over this worker's private detector copy (detectors mutate
   per-scan state — cascade tallies, tracer handles — so sharing one
-  across threads would corrupt both scans),
+  across threads would corrupt both scans).  A chip job (a request
+  with a ``chip`` group) runs through :func:`~repro.runtime.scan_chip`
+  on the same worker, whatever the fleet size; its ``shard_workers``
+  knob spreads its shards over that worker's threads, and its shard
+  engines send this job's heartbeats,
 * **settle** — success publishes the verbatim ``ScanReport.to_json()``
   document plus its metrics snapshot to the result store; any failure
   funnels through :meth:`JobManager.fail`, which requeues while
@@ -52,23 +56,11 @@ from __future__ import annotations
 
 import copy
 import threading
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..geometry import region_fingerprint
-from ..runtime import (
-    FaultInjector,
-    ScanEngine,
-    ScanReport,
-    ShardPlan,
-    ShardPlanner,
-    ShardRunner,
-    merge_reports,
-    scan_chip,
-    metrics_snapshot,
-)
-from .jobs import JobRecord, JobState
+from ..runtime import FaultInjector, ScanEngine, metrics_snapshot, scan_chip
+from .jobs import JobRecord
 from .manager import HeartbeatVerdict, JobManager
 from .wire import build_engine_config, decode_layer, decode_region
 
@@ -108,6 +100,9 @@ _FLEET_FAULT_POINTS = (
 
 class WorkerFleet:
     """N worker threads executing jobs from a :class:`JobManager`.
+
+    Each job runs on the worker that claimed it, chip jobs included:
+    more workers serve more jobs at once, never one job's shards.
 
     Parameters
     ----------
@@ -353,14 +348,6 @@ class WorkerFleet:
             ):
                 raise JobDeadlineExceeded(record.job_id)
 
-        shard = request.get("shard")
-        chip = request.get("chip") or {}
-        if shard is None and int(chip.get("shards", 1)) > 1 and self.workers > 1:
-            # chip fan-out: this worker becomes the plan/merge
-            # coordinator while the rest of the fleet drains the
-            # per-shard child jobs it submits
-            return self._execute_chip(record, layer, region)
-
         config = build_engine_config(
             request,
             checkpoint_dir=self.manager.checkpoint_dir_for(record.job_id),
@@ -376,33 +363,10 @@ class WorkerFleet:
         resume = ckpt_dir is not None and (
             record.attempts > 1 or Path(ckpt_dir).exists()
         )
-        if shard is not None:
-            # one shard of a parent chip job: scan exactly the halo
-            # region the plan assigned to this index
-            plan = ShardPlan.from_json(shard["plan"])
-            index = int(shard["index"])
-            if not 0 <= index < len(plan.shards):
-                raise ValueError(
-                    f"shard index {index} out of range for plan "
-                    f"{plan.digest} ({len(plan.shards)} shards)"
-                )
-            spec = plan.shards[index]
-            engine = ScanEngine(detector, config=config)
-            report = engine.scan(
-                layer,
-                spec.region,
-                window_nm=plan.window_nm,
-                core_nm=plan.core_nm,
-                step_nm=plan.step_nm,
-                resume=resume,
-            )
-            report.shard_id = spec.shard_id
-            report.plan_digest = plan.digest
-            return report.to_json(), metrics_snapshot(report)
-        if chip:
-            # inline chip scan (single-worker fleet, or shards=1):
+        if request.get("chip"):
             # scan_chip routes monolithic/sharded/instance-dedup through
-            # the same plan-execute-merge path as the direct API
+            # the same plan-execute-merge path as the direct API, with
+            # the chip's shard_workers threads on this worker
             report = scan_chip(
                 layer,
                 detector,
@@ -424,156 +388,3 @@ class WorkerFleet:
             resume=resume,
         )
         return report.to_json(), metrics_snapshot(report)
-
-    # ------------------------------------------------------------------
-    # chip fan-out
-    # ------------------------------------------------------------------
-    def _renew_lease(self, record: JobRecord) -> None:
-        """Heartbeat a coordinator job while it waits on its children."""
-        if self.manager.draining:
-            raise JobDrained(record.job_id)
-        verdict = self.manager.heartbeat(record.job_id, record.lease_token)
-        if verdict is HeartbeatVerdict.CANCELLED:
-            raise JobCancelled(record.job_id)
-        if verdict is HeartbeatVerdict.LEASE_LOST:
-            raise LeaseLost(record.job_id)
-        if verdict in (
-            HeartbeatVerdict.JOB_DEADLINE,
-            HeartbeatVerdict.ATTEMPT_DEADLINE,
-        ):
-            raise JobDeadlineExceeded(record.job_id)
-
-    def _execute_chip(self, record: JobRecord, layer, region):
-        """Fan a chip job out into per-shard child jobs and merge.
-
-        Child submission is idempotent on the parent job id, so a
-        coordinator that was drained, reaped, or retried re-attaches to
-        the children it already spawned instead of double-scanning.
-        Shards whose halo region is an exact translated copy of another
-        shard are not submitted at all — their scores are replayed from
-        the canonical child at merge time (instance-level dedup).
-        """
-        request = record.request
-        chip = request["chip"]
-        t0 = time.perf_counter()
-        planner = ShardPlanner(
-            int(chip.get("shards", 1)),
-            halo_nm=chip.get("halo_nm"),
-            snap_nm=chip.get("snap_nm"),
-        )
-        plan = planner.plan(
-            region,
-            window_nm=request["window_nm"],
-            core_nm=request["core_nm"],
-            step_nm=request["step_nm"],
-        )
-        n_shards = len(plan.shards)
-
-        # instance dedup: group congruent shards, scan one per class
-        replay_of: Dict[int, int] = {}
-        to_scan: List[int] = []
-        if bool(chip.get("instance_dedup", True)):
-            fps = [region_fingerprint(layer, s.region) for s in plan.shards]
-            canon: Dict[tuple, int] = {}
-            for i, spec in enumerate(plan.shards):
-                key = (fps[i], spec.scan_w, spec.scan_h)
-                if key in canon:
-                    replay_of[i] = canon[key]
-                else:
-                    canon[key] = i
-                    to_scan.append(i)
-        else:
-            to_scan = list(range(n_shards))
-
-        # idempotent child submission keyed on (parent job id, index)
-        existing: Dict[int, JobRecord] = {}
-        for rec in self.manager.list_jobs():
-            sh = rec.request.get("shard")
-            if isinstance(sh, dict) and sh.get("parent") == record.job_id:
-                existing[int(sh["index"])] = rec
-        plan_doc = plan.to_json()
-        children: Dict[int, str] = {}
-        for i in to_scan:
-            prior = existing.get(i)
-            if prior is not None and prior.state not in (
-                JobState.FAILED,
-                JobState.CANCELLED,
-                JobState.QUARANTINED,
-            ):
-                children[i] = prior.job_id
-                continue
-            spec = plan.shards[i]
-            child = {
-                "schema": request["schema"],
-                "layer": request["layer"],
-                "region": [
-                    spec.region.x1,
-                    spec.region.y1,
-                    spec.region.x2,
-                    spec.region.y2,
-                ],
-                "window_nm": request["window_nm"],
-                "core_nm": request["core_nm"],
-                "step_nm": request["step_nm"],
-                "engine": dict(request.get("engine") or {}),
-                "shard": {
-                    "plan": plan_doc,
-                    "index": i,
-                    "parent": record.job_id,
-                },
-            }
-            children[i] = self.manager.submit(
-                child, client=f"chip:{record.job_id}"
-            ).job_id
-            self.manager.count("job_shards_spawned")
-
-        # wait for the children, renewing this coordinator's lease
-        poll = max(self.poll_timeout_s, 0.02)
-        while True:
-            self._renew_lease(record)
-            pending = 0
-            for i, job_id in children.items():
-                state = self.manager.status(job_id).state
-                if state is JobState.SUCCEEDED:
-                    continue
-                if state in (
-                    JobState.FAILED,
-                    JobState.CANCELLED,
-                    JobState.QUARANTINED,
-                ):
-                    raise RuntimeError(
-                        f"shard job {job_id} (index {i}) settled "
-                        f"{state.value}; chip job cannot merge"
-                    )
-                pending += 1
-            if pending == 0:
-                break
-            time.sleep(poll)
-
-        reports: List[Optional[ScanReport]] = [None] * n_shards
-        for i, job_id in children.items():
-            reports[i] = ScanReport.from_json(
-                self.manager.result(job_id).document
-            )
-        for i in sorted(replay_of):
-            src = reports[replay_of[i]]
-            assert src is not None
-            reports[i] = ShardRunner.replay_report(plan, plan.shards[i], src)
-        done = [r for r in reports if r is not None]
-        merged = merge_reports(
-            plan, done, layer=layer, elapsed_s=time.perf_counter() - t0
-        )
-        tele = merged.telemetry
-        assert tele is not None
-        tele.count("shard_scans", len(to_scan))
-        tele.count(
-            "shard_windows_scanned",
-            sum(plan.shards[i].n_windows for i in to_scan),
-        )
-        tele.count("shard_replays", len(replay_of))
-        tele.count(
-            "shard_windows_replayed",
-            sum(plan.shards[i].n_windows for i in replay_of),
-        )
-        self.manager.count("job_chip_merged")
-        return merged.to_json(), metrics_snapshot(merged)

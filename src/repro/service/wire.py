@@ -146,8 +146,9 @@ def encode_job_request(
     (queue wait included); ``attempt_deadline_s`` budgets each claim.
     ``None`` defers to the service's configured defaults.  ``chip``
     carries the :data:`ALLOWED_CHIP_KWARGS` scale-out knobs (e.g.
-    ``{"shards": 8}``): a multi-worker fleet fans such a job out into
-    per-shard child jobs and merges their reports.
+    ``{"shards": 8}``): the worker that claims such a job runs it
+    through :func:`~repro.runtime.scan_chip`, and ``shard_workers``
+    spreads its shards over that worker's threads.
     """
     request = {
         "schema": JOB_REQUEST_SCHEMA,
@@ -241,25 +242,6 @@ def validate_job_request(payload: Dict[str, object]) -> Dict[str, object]:
                 f"(allowed: {sorted(ALLOWED_CHIP_KWARGS)})"
             )
         out["chip"] = dict(chip)
-    shard = payload.get("shard")
-    if shard is not None:
-        # internal fan-out marker: one shard of a parent chip job; the
-        # fleet writes these itself, but they still round-trip through
-        # the same submit/validate gate as client jobs
-        if not isinstance(shard, dict):
-            raise WireError("'shard' must be {plan, index, parent}")
-        plan_doc = shard.get("plan")
-        index = shard.get("index")
-        parent = shard.get("parent")
-        if not isinstance(plan_doc, str) or not plan_doc:
-            raise WireError("'shard.plan' must be a ShardPlan JSON string")
-        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-            raise WireError("'shard.index' must be a non-negative integer")
-        if not isinstance(parent, str) or not parent:
-            raise WireError("'shard.parent' must be the parent job id")
-        if "chip" in out:
-            raise WireError("a job cannot be both a chip and a shard job")
-        out["shard"] = {"plan": plan_doc, "index": index, "parent": parent}
     unknown = sorted(
         set(payload)
         - {
@@ -271,7 +253,6 @@ def validate_job_request(payload: Dict[str, object]) -> Dict[str, object]:
             "step_nm",
             "engine",
             "chip",
-            "shard",
             "deadline_s",
             "attempt_deadline_s",
         }
