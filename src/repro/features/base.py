@@ -19,13 +19,12 @@ it and report ``supports_rasters == False``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
 from ..contracts import shaped
-from ..counters import assert_counters_consistent
+from ..counters import BoundedLRU
 from ..geometry.layout import Clip
 
 
@@ -97,44 +96,25 @@ class FeatureExtractor(ABC):
         return np.stack([self.extract_raster(r) for r in rasters])
 
 
-class CachingExtractor(FeatureExtractor):
+class CachingExtractor(FeatureExtractor, BoundedLRU):
     """Bounded LRU memoizing wrapper around another extractor.
 
-    Mirrors :class:`~repro.runtime.cache.ScoreCache`'s eviction policy
-    (least-recently-used beyond ``max_entries``) and exposes hit/miss/
-    eviction counters so long scans can be profiled and can't grow
-    memory without limit.
+    Shares :class:`~repro.runtime.cache.ScoreCache`'s map, eviction
+    policy (least-recently-used beyond ``max_entries``) and hit/miss/
+    eviction counters (:class:`repro.counters.BoundedLRU`), so long
+    scans can be profiled and can't grow memory without limit.
     """
 
     def __init__(self, inner: FeatureExtractor, max_entries: int = 50_000) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
         self.inner = inner
-        self.max_entries = max_entries
         self.name = f"cached({inner.name})"
-        self._cache: "OrderedDict[Clip, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        # ledger counters: inserts - evictions - removed == cache_size()
-        # (see repro.counters.assert_counters_consistent)
-        self.inserts = 0
-        self.evictions = 0
-        self.removed = 0
+        BoundedLRU.__init__(self, max_entries, label=self.name)
 
     def extract(self, clip: Clip) -> np.ndarray:
-        try:
-            cached = self._cache[clip]
-        except KeyError:
-            self.misses += 1
+        cached = self.get(clip)
+        if cached is None:
             cached = self.inner.extract(clip)
-            self._cache[clip] = cached
-            self.inserts += 1
-            while len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
-                self.evictions += 1
-            return cached
-        self._cache.move_to_end(clip)
-        self.hits += 1
+            self.put(clip, cached)
         return cached
 
     # raster calls are already batch-shaped; pass them through uncached
@@ -151,30 +131,6 @@ class CachingExtractor(FeatureExtractor):
     @property
     def feature_shape(self) -> tuple:
         return self.inner.feature_shape
-
-    @property
-    def hit_ratio(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def cache_size(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        self.removed += len(self._cache)
-        self._cache.clear()
-        assert_counters_consistent(self, label=self.name)
-
-    def reset_counters(self) -> None:
-        """Zero the activity counters without touching the contents.
-
-        ``inserts`` re-bases to the current size (not zero): the entries
-        still in the map have to be accounted for or the ledger
-        invariant would report drift on the very next check.
-        """
-        self.hits = self.misses = self.evictions = self.removed = 0
-        self.inserts = len(self._cache)
-        assert_counters_consistent(self, label=self.name)
 
 
 class Standardizer:

@@ -24,11 +24,10 @@ instead of killing the scan — a damaged cache only costs time.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Union
 
-from ..counters import assert_counters_consistent
+from ..counters import BoundedLRU
 from ..durable import CorruptFile, dump_json, load_json, quarantine_file
 from .trace import NULL_TRACER
 
@@ -42,7 +41,7 @@ CACHE_SCHEMA = 3
 CacheIntegrityError = CorruptFile
 
 
-class ScoreCache:
+class ScoreCache(BoundedLRU):
     """Bounded LRU ``fingerprint -> score`` map with persistence."""
 
     #: per-scan span tracer; the engine swaps in a live one around a
@@ -52,73 +51,16 @@ class ScoreCache:
     def __init__(
         self, max_entries: int = 200_000, detector_tag: str = ""
     ) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
+        super().__init__(max_entries, label="ScoreCache")
         self.detector_tag = detector_tag
-        self._scores: "OrderedDict[str, float]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        # ledger counters: inserts - evictions - removed == len(self)
-        # (see repro.counters.assert_counters_consistent)
-        self.inserts = 0
-        self.evictions = 0
-        self.removed = 0
         #: set by :meth:`open_dir` when a corrupt file was moved aside
         self.quarantined_from: Optional[Path] = None
 
-    # ------------------------------------------------------------------
-    # core map operations
-    # ------------------------------------------------------------------
-    def get(self, fingerprint: str) -> Optional[float]:
-        """Cached score, refreshing recency; None on miss."""
-        try:
-            score = self._scores[fingerprint]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._scores.move_to_end(fingerprint)
-        self.hits += 1
-        return score
-
     def put(self, fingerprint: str, score: float) -> None:
-        if fingerprint in self._scores:
-            self._scores.move_to_end(fingerprint)
-        else:
-            self.inserts += 1
-        self._scores[fingerprint] = float(score)
-        while len(self._scores) > self.max_entries:
-            self._scores.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry, keeping the ledger balanced."""
-        self.removed += len(self._scores)
-        self._scores.clear()
-        assert_counters_consistent(self, label="ScoreCache")
+        super().put(fingerprint, float(score))
 
     def __len__(self) -> int:
-        return len(self._scores)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._scores
-
-    @property
-    def hit_ratio(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def reset_counters(self) -> None:
-        """Zero the activity counters without touching the contents.
-
-        ``inserts`` re-bases to the current size (not zero) so the
-        ledger invariant keeps holding over entries loaded in bulk —
-        zeroing it while the map is populated is exactly the stale-
-        counter drift this ledger exists to catch.
-        """
-        self.hits = self.misses = self.evictions = self.removed = 0
-        self.inserts = len(self._scores)
-        assert_counters_consistent(self, label="ScoreCache")
+        return self.cache_size()
 
     # ------------------------------------------------------------------
     # persistence
@@ -130,12 +72,10 @@ class ScoreCache:
             {
                 "schema": CACHE_SCHEMA,
                 "detector": self.detector_tag,
-                "scores": dict(self._scores),
+                "scores": dict(self._entries),
             },
         )
-        self.tracer.event(
-            "cache_save", entries=len(self._scores), path=str(path)
-        )
+        self.tracer.event("cache_save", entries=len(self), path=str(path))
         return path
 
     @classmethod

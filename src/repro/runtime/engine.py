@@ -401,12 +401,13 @@ class _WindowSource:
     themselves (clips, or per-window views of their band).  The rest
     goes with the window kind:
 
-    * ``map_scores`` — the :class:`WorkerPool` entry point for batches,
+    * ``method`` — the detector call that scores a batch, passed to
+      :meth:`WorkerPool.map_scores`,
     * ``pack`` — a list of exemplar windows -> one pool batch.
     """
 
     chunks: Iterator[Tuple[Centers, Callable[[], Sequence]]]
-    map_scores: Callable[[Iterable], Iterator[np.ndarray]]
+    method: str
     pack: Callable[[list], object]
 
 
@@ -636,7 +637,9 @@ class ScanEngine:
                         layer, region, window_nm, core_nm, step, scan_path,
                         pool, telemetry,
                     )
-                    centers, scores = self._run(source, ckpt, obs, telemetry)
+                    centers, scores = self._run(
+                        source, pool, ckpt, obs, telemetry
+                    )
 
                 contracts.require(
                     "(n,):float64",
@@ -854,7 +857,7 @@ class ScanEngine:
                 chunks=(
                     (cc, partial(cut, cc)) for cc in _chunked(centers, chunk)
                 ),
-                map_scores=pool.map_scores,
+                method="predict_proba",
                 pack=list,
             )
         block = self._plane_feature_block(window_nm, step)
@@ -866,10 +869,10 @@ class ScanEngine:
                 layer, region, window_nm, step, telemetry, block, keyed,
                 reuse=not keyed and pool.workers == 1,
             ),
-            map_scores=(
-                pool.map_scores_rasters
+            method=(
+                "predict_proba_rasters"
                 if block is None
-                else pool.map_scores_features
+                else "predict_proba_features"
             ),
             pack=np.stack,
         )
@@ -997,7 +1000,7 @@ class ScanEngine:
     # the runner
     # ------------------------------------------------------------------
     def _run(
-        self, source: _WindowSource, ckpt, obs, telemetry
+        self, source: _WindowSource, pool, ckpt, obs, telemetry
     ) -> Tuple[Centers, np.ndarray]:
         """Score every window ``source`` yields; return centers and scores.
 
@@ -1017,9 +1020,11 @@ class ScanEngine:
                 telemetry.observe("chunk_clips", len(chunk_centers))
 
         score = self._stream if self.cache is None else self._dedup
-        return centers, score(source, admit, ckpt, obs, telemetry)
+        return centers, score(source, pool, admit, ckpt, obs, telemetry)
 
-    def _stream(self, source, admit, ckpt, obs, telemetry) -> np.ndarray:
+    def _stream(
+        self, source, pool, admit, ckpt, obs, telemetry
+    ) -> np.ndarray:
         """No-cache mode: every chunk's batch goes straight to the pool.
 
         With a checkpoint loaded for resume, the stored score prefix is
@@ -1049,7 +1054,7 @@ class ScanEngine:
         parts: List[np.ndarray] = []
         with obs.tracer.span("score_stream", kind="phase"):
             with telemetry.timer("score"):
-                for part in source.map_scores(batches()):
+                for part in pool.map_scores(batches(), source.method):
                     parts.append(part)
                     telemetry.count("scored", len(part))
                     if ckpt is not None:
@@ -1058,7 +1063,9 @@ class ScanEngine:
         parts = prefix + parts
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
 
-    def _dedup(self, source, admit, ckpt, obs, telemetry) -> np.ndarray:
+    def _dedup(
+        self, source, pool, admit, ckpt, obs, telemetry
+    ) -> np.ndarray:
         """Cache mode: one pass that scores each unseen pattern once.
 
         Chunks are cut and keyed in order.  A key this scan has not met
@@ -1121,7 +1128,7 @@ class ScanEngine:
         scored: List[str] = []
         with obs.tracer.span("score_dedup", kind="phase") as span:
             with telemetry.timer("score"):
-                for part in source.map_scores(batches()):
+                for part in pool.map_scores(batches(), source.method):
                     batch_fps = in_flight.popleft()
                     for fp, score in zip(batch_fps, part):
                         known[fp] = float(score)

@@ -40,8 +40,11 @@ Each rung increments a telemetry counter (``pool_retries``,
 ``pool_rebuilds``, ``pool_degraded_chunks``, ``pool_degradations``) so a
 report always shows what the scan survived.
 
-Top-level functions (not closures) carry the worker-side logic, as the
-``spawn`` start method requires.
+Every window kind goes through the one entry point,
+:meth:`WorkerPool.map_scores`, which names the detector method to call
+(clip lists, raster slices or feature slices).  One top-level function,
+:func:`_score_task`, carries the worker side, as the ``spawn`` start
+method requires (it cannot ship closures).
 """
 
 from __future__ import annotations
@@ -49,13 +52,12 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import deque
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ..contracts import ContractViolation, require_scores, shaped
+from ..contracts import ContractViolation, require_scores
 from ..core.detector import detector_from_state, detector_to_state
-from ..geometry.layout import Clip
 from .faults import FaultInjector, corrupt_scores, execute_chunk_fault
 from .telemetry import Telemetry
 from .trace import NULL_TRACER
@@ -70,61 +72,27 @@ def _init_worker(state: bytes) -> None:
     _WORKER_DETECTOR = detector_from_state(state)
 
 
-@shaped("[n]->(n,):float64")
-def _score_chunk(clips: List[Clip]) -> np.ndarray:
-    """Worker-side chunk scorer (runs against the per-process detector)."""
-    if _WORKER_DETECTOR is None:  # pragma: no cover - initializer contract
-        raise RuntimeError("worker pool used before initialization")
-    return np.asarray(_WORKER_DETECTOR.predict_proba(clips), dtype=np.float64)
+def _score_task(task) -> np.ndarray:
+    """Worker task: run the injected fault (if any), then call ``method``.
 
-
-@shaped("(n,h,w)->(n,):float64")
-def _score_raster_chunk(rasters: np.ndarray) -> np.ndarray:
-    """Worker-side raster-batch scorer (raster-plane scan path)."""
+    ``task`` is ``(method, batch, fault)``.  The detector methods carry
+    their own ``@shaped`` specs, so the contract check runs here too.
+    """
+    method, batch, fault = task
+    execute_chunk_fault(fault)
     if _WORKER_DETECTOR is None:  # pragma: no cover - initializer contract
         raise RuntimeError("worker pool used before initialization")
     return np.asarray(
-        _WORKER_DETECTOR.predict_proba_rasters(rasters), dtype=np.float64
+        getattr(_WORKER_DETECTOR, method)(batch), dtype=np.float64
     )
-
-
-def _score_chunk_task(task) -> np.ndarray:
-    """Worker task wrapper: run the injected fault (if any), then score."""
-    chunk, fault = task
-    execute_chunk_fault(fault)
-    return _score_chunk(chunk)
-
-
-def _score_raster_chunk_task(task) -> np.ndarray:
-    """Raster counterpart of :func:`_score_chunk_task`."""
-    batch, fault = task
-    execute_chunk_fault(fault)
-    return _score_raster_chunk(batch)
-
-
-@shaped("(n,c,h,w)->(n,):float64")
-def _score_feature_chunk(feats: np.ndarray) -> np.ndarray:
-    """Worker-side feature-batch scorer (plane-feature scan path)."""
-    if _WORKER_DETECTOR is None:  # pragma: no cover - initializer contract
-        raise RuntimeError("worker pool used before initialization")
-    return np.asarray(
-        _WORKER_DETECTOR.predict_proba_features(feats), dtype=np.float64
-    )
-
-
-def _score_feature_chunk_task(task) -> np.ndarray:
-    """Feature counterpart of :func:`_score_chunk_task`."""
-    batch, fault = task
-    execute_chunk_fault(fault)
-    return _score_feature_chunk(batch)
 
 
 class _Chunk:
-    """Supervision record for one submitted chunk (payload + fate)."""
+    """Supervision record for one submitted chunk (call, payload, fate)."""
 
     __slots__ = (
+        "method",
         "payload",
-        "task_fn",
         "async_result",
         "chunk_fault",
         "score_fault",
@@ -135,9 +103,9 @@ class _Chunk:
         "degraded",
     )
 
-    def __init__(self, payload, task_fn, chunk_fault, score_fault) -> None:
+    def __init__(self, method, payload, chunk_fault, score_fault) -> None:
+        self.method = method
         self.payload = payload
-        self.task_fn = task_fn
         self.async_result = None  # None => score in-process
         self.chunk_fault = chunk_fault
         self.score_fault = score_fault
@@ -304,97 +272,47 @@ class WorkerPool:
     # scoring
     # ------------------------------------------------------------------
     def map_scores(
-        self, chunks: Iterable[Sequence[Clip]]
+        self, batches: Iterable, method: str = "predict_proba"
     ) -> Iterator[np.ndarray]:
-        """Score clip chunks, yielding one score array per chunk in order.
+        """Score batches with the detector's ``method``, in order.
 
-        The in-process path consumes the chunk iterable lazily; the
-        multiprocess path keeps a bounded submission window so huge
-        scans never materialize all chunks at once.  Every result passes
-        through the supervision ladder (validate / retry / rebuild /
-        degrade) before it is yielded.
+        ``method`` names the detector call for the window kind:
+        ``predict_proba`` for clip lists, ``predict_proba_rasters`` for
+        ``(n, H, W)`` raster slices and ``predict_proba_features`` for
+        ``(n, C, h, w)`` feature slices.  One score array is yielded per
+        batch.  The in-process path pulls a batch only after the one
+        before it was scored; the multiprocess path keeps a bounded
+        submission window, so a huge scan never materializes every
+        batch at once.  Every result passes through the supervision
+        ladder (validate / retry / rebuild / degrade) before it is
+        yielded.
         """
-
-        def local_fn(chunk) -> np.ndarray:
-            return np.asarray(
-                self.detector.predict_proba(list(chunk)), dtype=np.float64
-            )
-
-        yield from self._supervised_map(
-            (list(chunk) for chunk in chunks), _score_chunk_task, local_fn
-        )
-
-    def map_scores_rasters(
-        self, batches: Iterable[np.ndarray]
-    ) -> Iterator[np.ndarray]:
-        """Score ``(n, H, W)`` raster batches, one score array per batch.
-
-        Mirrors :meth:`map_scores` but ships dense float arrays instead
-        of pickled clip lists — the raster-plane counterpart.  Order is
-        preserved; ``workers=1`` stays fully in-process.
-        """
-
-        def local_fn(batch) -> np.ndarray:
-            return np.asarray(
-                self.detector.predict_proba_rasters(batch), dtype=np.float64
-            )
-
-        yield from self._supervised_map(
-            batches, _score_raster_chunk_task, local_fn
-        )
-
-    def map_scores_features(
-        self, batches: Iterable[np.ndarray]
-    ) -> Iterator[np.ndarray]:
-        """Score ``(n, C, h, w)`` feature-tensor batches, in order.
-
-        The plane-feature counterpart of :meth:`map_scores_rasters`:
-        the engine extracts features once per band plane and ships the
-        (much smaller) per-window feature slices instead of raw window
-        rasters.  Requires a detector with ``predict_proba_features``.
-        """
-
-        def local_fn(batch) -> np.ndarray:
-            return np.asarray(
-                self.detector.predict_proba_features(batch),
-                dtype=np.float64,
-            )
-
-        yield from self._supervised_map(
-            batches, _score_feature_chunk_task, local_fn
-        )
-
-    # ------------------------------------------------------------------
-    # supervision
-    # ------------------------------------------------------------------
-    def _supervised_map(
-        self, payloads: Iterable, task_fn, local_fn
-    ) -> Iterator[np.ndarray]:
-        """Ordered, fault-tolerant dispatch shared by both score paths."""
         if self.workers == 1:
-            for payload in payloads:
-                yield self._collect(
-                    self._new_record(payload, task_fn, local=True), local_fn
-                )
+            for batch in batches:
+                record = self._new_record(method, batch, local=True)
+                yield self._collect(record)
             return
         pending: "deque[_Chunk]" = deque()
-        payload_iter = iter(payloads)
+        batch_iter = iter(batches)
         exhausted = False
         while True:
             while not exhausted and len(pending) < self.chunks_in_flight:
                 try:
-                    payload = next(payload_iter)
+                    batch = next(batch_iter)
                 except StopIteration:
                     exhausted = True
                     break
                 pending.append(
-                    self._new_record(payload, task_fn, local=self._degraded)
+                    self._new_record(method, batch, local=self._degraded)
                 )
             if not pending:
                 return
-            yield self._collect(pending.popleft(), local_fn)
+            yield self._collect(pending.popleft())
 
-    def _new_record(self, payload, task_fn, local: bool) -> _Chunk:
+    # ------------------------------------------------------------------
+    # supervision
+    # ------------------------------------------------------------------
+    def _new_record(self, method: str, payload, local: bool) -> _Chunk:
         chunk_fault = score_fault = None
         if self.faults is not None:
             chunk_fault = self.faults.chunk_fault()
@@ -405,7 +323,7 @@ class WorkerPool:
             if score_fault is not None:
                 self.telemetry.count(f"fault_{score_fault}")
                 self.tracer.event("fault_fired", point=score_fault)
-        record = _Chunk(payload, task_fn, chunk_fault, score_fault)
+        record = _Chunk(method, payload, chunk_fault, score_fault)
         if not local:
             self._submit(record, first=True)
         return record
@@ -414,17 +332,17 @@ class WorkerPool:
         """Dispatch (or re-dispatch) a chunk to the process pool."""
         fault = record.chunk_fault if first else None
         record.async_result = self._ensure_pool().apply_async(
-            record.task_fn, ((record.payload, fault),)
+            _score_task, ((record.method, record.payload, fault),)
         )
 
-    def _score_attempt(self, record: _Chunk, local_fn) -> np.ndarray:
+    def _score_attempt(self, record: _Chunk) -> np.ndarray:
         """One attempt at a chunk: fetch scores, inject, validate."""
         record.attempts += 1
         if record.async_result is None:
             if record.chunk_fault is not None and not record.chunk_fault_spent:
                 record.chunk_fault_spent = True
                 execute_chunk_fault(record.chunk_fault, in_process=True)
-            scores = local_fn(record.payload)
+            scores = getattr(self.detector, record.method)(record.payload)
         else:
             scores = record.async_result.get(timeout=self.chunk_timeout_s)
         scores = np.asarray(scores, dtype=np.float64)
@@ -434,7 +352,7 @@ class WorkerPool:
         require_scores(scores, func="WorkerPool.map_scores")
         return scores
 
-    def _collect(self, record: _Chunk, local_fn) -> np.ndarray:
+    def _collect(self, record: _Chunk) -> np.ndarray:
         """One chunk span around the supervision ladder (worker fate)."""
         self._chunk_seq += 1
         with self.tracer.span(
@@ -443,7 +361,7 @@ class WorkerPool:
             seq=self._chunk_seq,
             local=record.async_result is None,
         ) as span:
-            scores = self._supervise(record, local_fn)
+            scores = self._supervise(record)
             span.set(
                 n=len(scores),
                 attempts=record.attempts,
@@ -452,11 +370,11 @@ class WorkerPool:
             )
         return scores
 
-    def _supervise(self, record: _Chunk, local_fn) -> np.ndarray:
+    def _supervise(self, record: _Chunk) -> np.ndarray:
         """Drive one chunk through the supervision ladder to a score array."""
         while True:
             try:
-                return self._score_attempt(record, local_fn)
+                return self._score_attempt(record)
             except multiprocessing.TimeoutError:
                 self._suspect_pool = True
                 self.telemetry.count("pool_timeouts")
@@ -507,7 +425,7 @@ class WorkerPool:
                 self.tracer.event("pool_degraded_chunk")
                 continue
             # in-process scoring failed too — surface the real error
-            return self._score_attempt(record, local_fn)
+            return self._score_attempt(record)
 
     def _resubmit(self, record: _Chunk) -> None:
         """Retry a chunk, rebuilding first if every worker is dead."""

@@ -687,6 +687,12 @@ class ShardRunner:
             if self.config.checkpoint.dir is None
             else Path(self.config.checkpoint.dir)
         )
+        if resume and root is None:
+            # the engine's refusal, raised before any shard is rescanned
+            raise ValueError(
+                "resume=True requires the engine to be constructed "
+                "with checkpoint_dir"
+            )
         manifest_out = self._manifest_path(root)
         # a one-shard plan is the engine scan: it persists no report
         report_key = (
@@ -928,7 +934,7 @@ class ShardRunner:
                 core_nm=plan.core_nm,
                 step_nm=plan.step_nm,
                 oracle=oracle,
-                resume=resume and cfg.checkpoint.dir is not None,
+                resume=resume,
             )
             rep.shard_id = spec.shard_id
             rep.plan_digest = plan.digest

@@ -35,6 +35,7 @@ from repro.runtime.faults import (  # lint: disable=no-deep-runtime-import  (tes
 
 from ._fault_doubles import RasterMeanDetector, WorkerHostileDetector
 from .conftest import DensityDetector, tiny_grating_dataset
+from .test_checkpoint import GradedFeatureMean
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -323,14 +324,27 @@ def _engine(detector, *, raster, dedup, workers, faults=None, **kw):
     )
 
 
+#: window kind -> the double that scans through it: clip lists, raster
+#: slices, or slices of the band's feature plane
+KIND_DETECTORS = {
+    "clip": DensityDetector,
+    "raster": RasterMeanDetector,
+    "plane": GradedFeatureMean,
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
-    "raster,dedup",
-    [(False, False), (False, True), (True, False), (True, True)],
-    ids=["direct", "dedup", "raster-direct", "raster-dedup"],
+    "kind,dedup",
+    [(kind, dedup) for kind in KIND_DETECTORS for dedup in (False, True)],
+    ids=[
+        "direct", "dedup", "raster-direct", "raster-dedup",
+        "plane-direct", "plane-dedup",
+    ],
 )
-def test_every_path_repairs_bad_scores(layer, raster, dedup, workers):
-    detector = RasterMeanDetector() if raster else DensityDetector()
+def test_every_path_repairs_bad_scores(layer, kind, dedup, workers):
+    detector = KIND_DETECTORS[kind]()
+    raster = kind != "clip"
     clean = _engine(detector, raster=raster, dedup=dedup, workers=1).scan(
         layer, SMALL, keep_clips=False
     )
@@ -343,6 +357,10 @@ def test_every_path_repairs_bad_scores(layer, raster, dedup, workers):
     assert np.array_equal(repaired.scores, clean.scores)
     assert np.array_equal(repaired.flagged, clean.flagged)
     assert repaired.telemetry.counter("score_repairs") == 1
+    # the plane kind really scored feature slices (through the workers
+    # when workers=2); the other kinds never transform a band
+    planes = repaired.telemetry.counter("feature_planes")
+    assert (planes > 0) == (kind == "plane")
 
 
 @pytest.mark.parametrize(

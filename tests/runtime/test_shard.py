@@ -467,6 +467,21 @@ def test_killed_shard_resumes_to_byte_identical_report(layer, region, tmp_path):
     assert not list(root.glob("shard-*.report.json"))
 
 
+@pytest.mark.parametrize("shards", [1, 4])
+def test_resume_without_checkpoint_dir_is_refused(layer, region, shards):
+    """With no checkpoint dir there is nothing to resume from: scan_chip
+    raises the engine's error instead of rescanning the whole chip."""
+    detector = GradedDensityDetector()
+    with pytest.raises(ValueError, match="checkpoint_dir") as engine_err:
+        ScanEngine(detector).scan(layer, region, resume=True)
+    with pytest.raises(ValueError, match="checkpoint_dir") as chip_err:
+        scan_chip(
+            layer, detector, EngineConfig.from_kwargs(shards=shards),
+            region=region, resume=True,
+        )
+    assert str(chip_err.value) == str(engine_err.value)
+
+
 def _edited(layer: Layer) -> Layer:
     edited = Layer(layer.name)
     for poly in layer.polygons:

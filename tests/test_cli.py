@@ -418,6 +418,20 @@ class TestScanChipSharding:
         assert code == 2
         assert "no chip manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shards", ["1", "4"])
+    def test_resume_without_checkpoint_dir_exits_2(
+        self, tmp_path, capsys, monkeypatch, shards
+    ):
+        report = tmp_path / "r.json"
+        code = self._scan(
+            tmp_path, monkeypatch, report, ["--shards", shards, "--resume"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "resume=True requires" in err and "checkpoint_dir" in err
+        assert "Traceback" not in err
+        assert not report.exists()
+
     def test_corrupt_rescan_manifest_exits_2(
         self, tmp_path, capsys, monkeypatch
     ):
