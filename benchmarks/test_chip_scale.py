@@ -1,13 +1,7 @@
-"""Full-chip scale-out — shard-worker scaling, instance dedup, re-scan.
+"""Full-chip scale-out — instance dedup and incremental re-scan.
 
-Three scenarios land in ``BENCH_chip.json`` at the repo root:
+Two scenarios land in ``BENCH_chip.json`` at the repo root:
 
-* ``scaling`` — a 10x10 array of one routed block scanned as a 4-shard
-  plan with 1 and 2 shard workers, 5 alternating scans per arm.  The
-  correctness gate is byte-identity of every scan to the monolithic
-  scan; each arm's median and quartiles are recorded with the hardware
-  they ran on (CPUs and each loaded BLAS's threads), not gated (shared
-  runners make wall-clock ratios flaky).
 * ``instance_dedup`` — a 12x12 ``replicate_block`` array scanned with
   pitch-snapped shards, fingerprint dedup on vs off.  Hierarchical
   reuse is deterministic, so this one IS gated: >= 10x windows/s.
@@ -75,93 +69,6 @@ def _merge_bench_json(update):
             record = {}
     record.update(update)
     bench_json.write_text(json.dumps(record, indent=2) + "\n")
-
-
-#: alternating timed scans per shard-worker arm, and the arms: the two
-#: sides of the shard_workers gate (2 workers against 1)
-SCALING_REPEATS = 5
-SCALING_ARMS = (1, 2)
-
-
-def test_chip_shard_worker_scaling(benchmark, suite, out_dir):
-    from repro.bench import hardware, write_table
-    from repro.runtime import EngineConfig, ScanEngine, scan_chip
-
-    detector = _fitted_detector(suite)
-    # 10x10 cells, so each timed scan takes at least 0.2 s on 2 vCPUs
-    layer, region = _array_chip(nx=10, ny=10)
-
-    def run():
-        mono = ScanEngine(detector).scan(layer, region, WINDOW, CORE)
-        out = {
-            "mono": _canonical(mono),
-            "runs": {workers: [] for workers in SCALING_ARMS},
-        }
-        # the arms alternate, so drift on a shared host hits both alike
-        for _ in range(SCALING_REPEATS):
-            for workers in SCALING_ARMS:
-                config = EngineConfig.from_kwargs(
-                    shards=4, shard_workers=workers, instance_dedup=False
-                )
-                t0 = time.perf_counter()
-                report = scan_chip(
-                    layer, detector, config, region=region,
-                    window_nm=WINDOW, core_nm=CORE,
-                )
-                out["runs"][workers].append(
-                    {
-                        "elapsed_s": time.perf_counter() - t0,
-                        "canonical": _canonical(report),
-                        "n_windows": report.n_windows,
-                    }
-                )
-        return out
-
-    out = run_once(benchmark, run)
-
-    rows = []
-    for workers, runs in out["runs"].items():
-        # the gate is determinism; the timings are recorded, not gated
-        for run_ in runs:
-            assert run_["canonical"] == out["mono"], f"workers={workers}"
-        q1, median, q3 = np.percentile(
-            [run_["elapsed_s"] for run_ in runs], [25, 50, 75]
-        )
-        rows.append(
-            {
-                "shard_workers": workers,
-                "runs": len(runs),
-                "median_s": round(median, 3),
-                "q1_s": round(q1, 3),
-                "q3_s": round(q3, 3),
-                "windows": runs[0]["n_windows"],
-            }
-        )
-    base = rows[0]["median_s"]
-    for row in rows:
-        row["speedup_vs_1"] = round(base / row["median_s"], 2)
-    _merge_bench_json(
-        {
-            "scaling": {
-                "array": "10x10 x 2048nm routed cell",
-                "shards": 4,
-                # shard workers are threads: a wall-clock speedup needs
-                # free cores, and every BLAS pool competes for them, so
-                # record the CPUs and each loaded BLAS's thread count
-                "hardware": hardware(),
-                "results": rows,
-            }
-        }
-    )
-    text = write_table(
-        rows,
-        out_dir / "chip_scaling.md",
-        title=(
-            "Chip scan: 4-shard plan by shard worker count "
-            f"({SCALING_REPEATS} alternating scans per arm)"
-        ),
-    )
-    print("\n" + text)
 
 
 def test_chip_instance_dedup_speedup(benchmark, suite, out_dir):

@@ -302,7 +302,6 @@ def _cmd_scan_chip(args: argparse.Namespace) -> int:
             progress="stderr" if args.progress else None,
             infer_backend=args.infer_backend,
             shards=args.shards,
-            shard_workers=args.shard_workers,
             halo_nm=args.halo_nm,
             snap_nm=args.snap_nm,
             instance_dedup=not args.no_instance_dedup,
@@ -731,10 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1,
         help="split the chip into this many halo-overlapped shards "
         "(1 = monolithic; the merged report is byte-identical either way)",
-    )
-    p.add_argument(
-        "--shard-workers", type=int, default=1,
-        help="shards scanned concurrently, each on its own engine",
     )
     p.add_argument(
         "--halo-nm", type=int, default=None,

@@ -76,8 +76,8 @@ def feature_tensor(raster: np.ndarray, block: int, keep: int) -> np.ndarray:
 
 
 _DCT_MATS: dict = {}
-# scratch arrays of feature_tensor_batch, one set per thread: sharded and
-# served scans extract features on several threads at once
+# scratch arrays of feature_tensor_batch, one set per thread: served
+# scans extract features on several fleet worker threads at once
 _BATCH_BUFFERS = threading.local()
 
 

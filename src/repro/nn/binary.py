@@ -53,9 +53,10 @@ class BinaryDense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         signs, alpha = binarize(self.w.value)
-        self._x = x
-        self._wb = signs * alpha
-        return x @ self._wb + self.b.value
+        wb = signs * alpha
+        self._x = x if self.training else None
+        self._wb = wb if self.training else None
+        return x @ wb + self.b.value
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         # gradient wrt the *binarized* weights, gated back to the latents
@@ -103,9 +104,9 @@ class BinaryConv2D(Layer):
         cols = im2col(x, k, k, s, p)
         signs, alpha = binarize(self.w.value)
         wb = (signs * alpha).reshape(self.w.shape[0], -1)
-        self._cols = cols
+        self._cols = cols if self.training else None
         self._x_shape = x.shape
-        self._wb_mat = wb
+        self._wb_mat = wb if self.training else None
         out = cols @ wb.T + self.b.value
         return out.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2)
 

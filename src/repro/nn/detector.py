@@ -220,6 +220,9 @@ class CNNDetector(InferBackendMixin, Detector):
             self.threshold = pick_threshold(
                 cfg.calibrate, calibration.labels, scores, cfg.fa_cap
             )
+        else:
+            # an eval pass drops the last training batch's backward caches
+            predict_proba(self.model, x[:1])
         return FitReport(
             train_seconds=time.perf_counter() - t0,
             n_train=len(train),
@@ -414,6 +417,8 @@ class RasterCNNDetector(InferBackendMixin, Detector):
             class_weights=class_weights(y),
         )
         trainer.fit(self.model, x, y, rng)
+        # an eval pass drops the last training batch's backward caches
+        predict_proba(self.model, x[:1])
         return FitReport(
             train_seconds=time.perf_counter() - t0, n_train=len(train)
         )

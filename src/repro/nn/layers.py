@@ -1,8 +1,10 @@
 """Neural-network layers (numpy, explicit forward/backward).
 
-Every layer caches what its backward pass needs during forward and
-releases it on the next call.  Shapes follow the PyTorch convention:
-``(N, C, H, W)`` for images, ``(N, D)`` for vectors.
+In training mode every layer caches what its backward pass needs during
+forward and releases it on the next call; an eval-mode forward keeps no
+such cache and drops any that a training forward left, so a fitted model
+carries its weights and not its last batch.  Shapes follow the PyTorch
+convention: ``(N, C, H, W)`` for images, ``(N, D)`` for vectors.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class Dense(Layer):
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = x if self.training else None
         return x @ self.w.value + self.b.value
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -95,7 +97,7 @@ class Conv2D(Layer):
         oh = conv_out_size(h, k, s, p)
         ow = conv_out_size(w, k, s, p)
         cols = im2col(x, k, k, s, p)  # (n*oh*ow, c*k*k)
-        self._cols = cols
+        self._cols = cols if self.training else None
         self._x_shape = x.shape
         w_mat = self.w.value.reshape(self.w.shape[0], -1)  # (oc, c*k*k)
         out = cols @ w_mat.T + self.b.value  # (n*oh*ow, oc)
@@ -120,8 +122,9 @@ class ReLU(Layer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * self._mask
@@ -145,7 +148,7 @@ class MaxPool2D(Layer):
         self._x_shape = x.shape
         xr = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
         flat = xr.reshape(n, c, h // k, w // k, k * k)
-        self._argmax = flat.argmax(axis=4)
+        self._argmax = flat.argmax(axis=4) if self.training else None
         return flat.max(axis=4)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -260,7 +263,7 @@ class BatchNorm(Layer):
         var_b = self._reshape_stat(var, x.ndim)
         inv_std = 1.0 / np.sqrt(var_b + self.eps)
         x_hat = (x - mean_b) * inv_std
-        self._cache = (x_hat, inv_std, axes)
+        self._cache = (x_hat, inv_std, axes) if self.training else None
         return self._reshape_stat(self.gamma.value, x.ndim) * x_hat + self._reshape_stat(
             self.beta.value, x.ndim
         )

@@ -12,8 +12,8 @@ and safe to share between engines:
 * :class:`CheckpointConfig` — periodic atomic checkpoint/resume,
 * :class:`ObservabilityConfig` — span tracing, metrics export, progress
   heartbeats (:mod:`repro.runtime.trace` / :mod:`repro.runtime.metrics`),
-* :class:`ChipScanConfig` — full-chip shard fan-out, instance-level
-  dedup, and incremental re-scan (:func:`repro.runtime.scan_chip`).
+* :class:`ChipScanConfig` — full-chip sharding, instance-level dedup,
+  and incremental re-scan (:func:`repro.runtime.scan_chip`).
 
 Every flat option name of the pre-config ``ScanEngine`` maps to exactly
 one grouped field (:data:`LEGACY_KWARGS`); :meth:`EngineConfig.from_kwargs`
@@ -179,9 +179,8 @@ class ChipScanConfig:
     shards:
         Target shard count for the planner (1 = monolithic; the planner
         may return fewer shards than requested on small center grids).
-    shard_workers:
-        Shards scanned concurrently; each shard runs its own engine
-        (which may itself fan scoring out over ``workers`` processes).
+        The shards are scanned one after another, each on its own engine
+        (which may fan its scoring out over ``workers`` processes).
     halo_nm:
         Overlap margin in nm beyond each shard's owned windows.  ``None``
         defaults to the full window extent, the margin under which every
@@ -204,7 +203,6 @@ class ChipScanConfig:
     """
 
     shards: int = 1
-    shard_workers: int = 1
     halo_nm: Optional[int] = None
     snap_nm: Optional[int] = None
     instance_dedup: bool = True
@@ -214,8 +212,6 @@ class ChipScanConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1")
         if self.halo_nm is not None and self.halo_nm < 0:
             raise ValueError("halo_nm must be >= 0 or None")
         if self.snap_nm is not None and self.snap_nm < 1:
@@ -290,7 +286,6 @@ LEGACY_KWARGS: Dict[str, Tuple[str, str]] = {
     "progress": ("observability", "progress"),
     "progress_every_chunks": ("observability", "progress_every_chunks"),
     "shards": ("chip", "shards"),
-    "shard_workers": ("chip", "shard_workers"),
     "halo_nm": ("chip", "halo_nm"),
     "snap_nm": ("chip", "snap_nm"),
     "instance_dedup": ("chip", "instance_dedup"),

@@ -12,8 +12,8 @@ monolithic scan — then layers hierarchy-aware reuse on top:
   exact context a monolithic scan would, so its score is identical by
   construction.  Plans are pure data (:class:`ShardPlan`) with a stable
   content digest.
-* :class:`ShardRunner` executes the shards (``shard_workers``-way
-  thread fan-out; each shard engine may itself spread scoring over a
+* :class:`ShardRunner` scans the shards one after another on the
+  caller's detector (each shard engine may spread its scoring over a
   process :class:`~repro.runtime.pool.WorkerPool`).  Each shard
   checkpoints under its own subdirectory and its finished report is
   persisted next to the checkpoints, keyed on the plan, detector,
@@ -40,12 +40,10 @@ and incremental scans through this one code path, driven by the
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -635,12 +633,12 @@ def _unscanned_report(
 class ShardRunner:
     """Execute a :class:`ShardPlan` and merge the result.
 
-    Each shard scans on its own :class:`ScanEngine` (own detector copy,
-    own checkpoint subdirectory ``shard-NNNN/`` under the configured
-    checkpoint dir, own trace subdirectory).  ``shard_workers`` shards
-    run concurrently on threads; every shard engine may additionally fan
-    scoring out over its process pool (``workers``), so in-process and
-    multiprocess execution compose.
+    Each shard scans on its own :class:`ScanEngine` (own checkpoint
+    subdirectory ``shard-NNNN/`` under the configured checkpoint dir,
+    own trace subdirectory).  The shards run one after another, every
+    engine on the caller's detector; each may fan its scoring out over
+    its process pool (``workers``), so in-process and multiprocess
+    execution compose.
 
     Fault tolerance: a shard's finished report is persisted next to the
     checkpoints the moment it completes, with a key over the plan
@@ -787,12 +785,34 @@ class ShardRunner:
         else:
             to_scan = [i for i in range(n_shards) if reports[i] is None]
 
-        # 4) scan the remaining shards, shard_workers at a time
-        if to_scan:
-            self._scan_shards(
-                layer, plan, to_scan, reports, root, single, report_key,
-                oracle, resume, tele,
+        # 4) scan the remaining shards, one after another
+        for i in to_scan:
+            spec = plan.shards[i]
+            engine = ScanEngine(
+                self.detector,
+                config=self._shard_config(root, spec, single),
+                faults=self.faults,
             )
+            rep = engine.scan(
+                layer,
+                spec.region,
+                window_nm=plan.window_nm,
+                core_nm=plan.core_nm,
+                step_nm=plan.step_nm,
+                oracle=oracle,
+                resume=resume,
+            )
+            rep.shard_id = spec.shard_id
+            rep.plan_digest = plan.digest
+            reports[i] = rep
+            if report_key is not None:
+                dump_json(
+                    self._report_path(root, spec),
+                    {**rep.to_dict(), "key": report_key},
+                )
+            tele.count("shard_scans")
+            tele.count("shard_windows_scanned", spec.n_windows)
+            self._progress(spec.shard_id, "scanned", reports, n_shards)
 
         # 5) replay the congruent copies from their canonical shard
         for i in sorted(replay_of):
@@ -852,8 +872,9 @@ class ShardRunner:
     def _detector_tag(self) -> str:
         """The manifest's detector tag, under this scan's backend override.
 
-        Shard engines apply ``batch.infer_backend`` to their own detector
-        copies, so the runner's detector may still carry another backend.
+        Shard engines apply ``batch.infer_backend`` to the detector as
+        they are built, after the manifest is validated and the report
+        key is made, so the detector may still carry another backend.
         """
         return detector_tag(self.detector, self.config.batch.infer_backend)
 
@@ -904,75 +925,6 @@ class ShardRunner:
             plan, spec, scores.copy(), flags.copy(), confirmed,
             manifest.scan_path,
         )
-
-    def _scan_shards(
-        self,
-        layer: Layer,
-        plan: ShardPlan,
-        to_scan: List[int],
-        reports: List[Optional[ScanReport]],
-        root: Optional[Path],
-        single: bool,
-        report_key: Optional[str],
-        oracle,
-        resume: bool,
-        tele: Telemetry,
-    ) -> None:
-        n_shards = len(plan.shards)
-
-        def scan_one(i: int) -> None:
-            spec = plan.shards[i]
-            detector = (
-                self.detector if single else copy.deepcopy(self.detector)
-            )
-            cfg = self._shard_config(root, spec, single)
-            engine = ScanEngine(detector, config=cfg, faults=self.faults)
-            rep = engine.scan(
-                layer,
-                spec.region,
-                window_nm=plan.window_nm,
-                core_nm=plan.core_nm,
-                step_nm=plan.step_nm,
-                oracle=oracle,
-                resume=resume,
-            )
-            rep.shard_id = spec.shard_id
-            rep.plan_digest = plan.digest
-            reports[i] = rep
-            if report_key is not None:
-                dump_json(
-                    self._report_path(root, spec),
-                    {**rep.to_dict(), "key": report_key},
-                )
-            self._progress(spec.shard_id, "scanned", reports, n_shards)
-
-        workers = min(self.config.chip.shard_workers, len(to_scan))
-        errors: List[BaseException] = []
-        if workers <= 1:
-            for i in to_scan:
-                try:
-                    scan_one(i)
-                except BaseException as exc:  # lint: disable=broad-except  (held for post-count re-raise so telemetry stays exact even on crash)
-                    errors.append(exc)
-                    break
-        else:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
-            ) as pool:
-                futures = [pool.submit(scan_one, i) for i in to_scan]
-                for fut in futures:
-                    exc = fut.exception()
-                    if exc is not None:
-                        errors.append(exc)
-        # count in the plan's thread so tallies are exact, not racy
-        for i in to_scan:
-            if reports[i] is not None:
-                tele.count("shard_scans")
-                tele.count(
-                    "shard_windows_scanned", plan.shards[i].n_windows
-                )
-        if errors:
-            raise errors[0]
 
     def _shard_config(
         self, root: Optional[Path], spec: ShardSpec, single: bool
@@ -1077,7 +1029,8 @@ def scan_chip(
     ``config`` selects the mode: ``shards=1`` (default) plans a single
     shard whose engine behaves exactly like a direct
     :meth:`ScanEngine.scan <repro.runtime.engine.ScanEngine.scan>`;
-    ``shards>1`` fans out over ``shard_workers`` engines and merges;
+    ``shards>1`` scans the shards one after another, each on its own
+    engine over ``detector``, and merges;
     ``rescan_from=`` replays unchanged shards from a prior scan's
     manifest.  All three return the same byte-identical report for the
     same geometry.

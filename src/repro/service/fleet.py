@@ -11,9 +11,9 @@ Each worker is one daemon thread looping claim → scan → settle:
   per-scan state — cascade tallies, tracer handles — so sharing one
   across threads would corrupt both scans).  A chip job (a request
   with a ``chip`` group) runs through :func:`~repro.runtime.scan_chip`
-  on the same worker, whatever the fleet size; its ``shard_workers``
-  knob spreads its shards over that worker's threads, and its shard
-  engines send this job's heartbeats,
+  on the same worker, whatever the fleet size; its shards run one after
+  another on this worker's detector copy, and their engines send this
+  job's heartbeats,
 * **settle** — success publishes the verbatim ``ScanReport.to_json()``
   document plus its metrics snapshot to the result store; any failure
   funnels through :meth:`JobManager.fail`, which requeues while
@@ -365,8 +365,8 @@ class WorkerFleet:
         )
         if request.get("chip"):
             # scan_chip routes monolithic/sharded/instance-dedup through
-            # the same plan-execute-merge path as the direct API, with
-            # the chip's shard_workers threads on this worker
+            # the same plan-execute-merge path as the direct API, on
+            # this worker's detector
             report = scan_chip(
                 layer,
                 detector,

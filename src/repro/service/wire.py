@@ -71,7 +71,6 @@ ALLOWED_ENGINE_KWARGS: Tuple[str, ...] = (
 #: manifest/rescan paths are service-side resources and are refused
 ALLOWED_CHIP_KWARGS: Tuple[str, ...] = (
     "shards",
-    "shard_workers",
     "halo_nm",
     "snap_nm",
     "instance_dedup",
@@ -147,8 +146,8 @@ def encode_job_request(
     ``None`` defers to the service's configured defaults.  ``chip``
     carries the :data:`ALLOWED_CHIP_KWARGS` scale-out knobs (e.g.
     ``{"shards": 8}``): the worker that claims such a job runs it
-    through :func:`~repro.runtime.scan_chip`, and ``shard_workers``
-    spreads its shards over that worker's threads.
+    through :func:`~repro.runtime.scan_chip`, its shards one after
+    another on that worker's detector.
     """
     request = {
         "schema": JOB_REQUEST_SCHEMA,

@@ -72,6 +72,48 @@ class TestRasterCNNDetector:
             RasterCNNDetector().predict_proba(toy_dataset.clips[:1])
 
 
+class TestFittedState:
+    """A fitted CNN holds its weights and calibration, not its last batch."""
+
+    @pytest.mark.parametrize(
+        "det",
+        [
+            pytest.param(
+                CNNDetector(
+                    CNNDetectorConfig(epochs=1, biased_epsilon=None, width=4)
+                ),
+                id="cnn-dct",
+            ),
+            pytest.param(
+                CNNDetector(
+                    CNNDetectorConfig(
+                        epochs=1, biased_epsilon=None, width=4, calibrate=None
+                    )
+                ),
+                id="cnn-dct-uncalibrated",
+            ),
+            pytest.param(
+                RasterCNNDetector(
+                    RasterCNNDetectorConfig(epochs=1, width=4, batch_size=8)
+                ),
+                id="cnn-raster",
+            ),
+        ],
+    )
+    def test_fitted_state_carries_no_backward_cache(self, toy_dataset, det):
+        from repro.core.detector import detector_to_state
+
+        det.fit(toy_dataset, rng=np.random.default_rng(0))
+        params = sum(
+            p.value.nbytes + p.grad.nbytes for p in det.model.params()
+        )
+        calibration = (
+            0 if det._calibration_x is None else det._calibration_x.nbytes
+        )
+        slack = 64 * 1024  # config, extractor, pickle framing
+        assert len(detector_to_state(det)) <= params + calibration + slack
+
+
 class TestPersistence:
     def test_save_load_roundtrip(self, toy_dataset, tmp_path):
         from repro.nn import CNNDetector, CNNDetectorConfig

@@ -58,7 +58,6 @@ class TestEngineConfigDefaults:
     def test_chip_defaults_are_monolithic(self):
         chip = EngineConfig().chip
         assert chip.shards == 1
-        assert chip.shard_workers == 1
         assert chip.halo_nm is None  # full window extent at plan time
         assert chip.snap_nm is None
         assert chip.instance_dedup is True
@@ -69,7 +68,6 @@ class TestEngineConfigDefaults:
         "bad",
         [
             {"shards": 0},
-            {"shard_workers": 0},
             {"halo_nm": -1},
             {"snap_nm": 0},
         ],
@@ -81,7 +79,6 @@ class TestEngineConfigDefaults:
     def test_chip_kwargs_route_through_from_kwargs(self):
         cfg = EngineConfig.from_kwargs(
             shards=8,
-            shard_workers=4,
             halo_nm=768,
             snap_nm=2048,
             instance_dedup=False,
@@ -90,7 +87,6 @@ class TestEngineConfigDefaults:
         )
         assert cfg.chip == ChipScanConfig(
             shards=8,
-            shard_workers=4,
             halo_nm=768,
             snap_nm=2048,
             instance_dedup=False,
@@ -128,6 +124,11 @@ class TestFlatKwargMapping:
         with pytest.raises(TypeError, match="turbo"):
             EngineConfig.from_kwargs(turbo=True)
 
+    def test_shard_workers_is_not_an_option(self):
+        """Shards run one after another; no shard thread count exists."""
+        with pytest.raises(TypeError, match="shard_workers"):
+            EngineConfig.from_kwargs(shard_workers=2)
+
     def test_every_legacy_kwarg_is_applicable(self):
         """Each flat name sets exactly its grouped field, nothing else."""
         probes = {
@@ -140,7 +141,7 @@ class TestFlatKwargMapping:
             "degrade_after_failures": 2, "on_invalid_score": "raise",
             "checkpoint_dir": "ckpt", "checkpoint_every_chunks": 2,
             "trace_dir": "traces", "metrics": "m", "progress": "stderr",
-            "progress_every_chunks": 2, "shards": 4, "shard_workers": 2,
+            "progress_every_chunks": 2, "shards": 4,
             "halo_nm": 0, "snap_nm": 64, "instance_dedup": False,
             "manifest": "man.npz", "rescan_from": "prior.npz",
         }

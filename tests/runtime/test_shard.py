@@ -182,18 +182,37 @@ def test_plan_refuses_unknown_schema(layer, region, tmp_path, monkeypatch):
 # sharded == monolithic, byte for byte
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [1, 4, 6])
-@pytest.mark.parametrize("shard_workers", [1, 3])
-def test_sharded_scan_merges_byte_identical(layer, region, shards, shard_workers):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sharded_scan_merges_byte_identical(layer, region, shards, workers):
+    """Shard engines that spread their scoring over a process pool
+    merge to the monolithic bytes too."""
     detector = GradedDensityDetector()
     mono = canonical(mono_scan(detector, layer, region))
-    config = EngineConfig.from_kwargs(
-        shards=shards, shard_workers=shard_workers
-    )
+    config = EngineConfig.from_kwargs(shards=shards, workers=workers)
     sharded = scan_chip(layer, detector, config, region=region)
     assert canonical(sharded) == mono
     if shards > 1:
         assert sharded.plan_digest
         assert sharded.telemetry.counter("shard_scans") > 0
+
+
+class UncopyableDetector(GradedDensityDetector):
+    """Refuses to be deep-copied."""
+
+    def __deepcopy__(self, memo):
+        raise AssertionError("the detector was deep-copied")
+
+
+@pytest.mark.parametrize("shards", [4, 6])
+def test_sharded_scan_never_copies_its_detector(layer, region, shards):
+    """Every shard engine scores on the caller's detector."""
+    detector = UncopyableDetector()
+    mono = canonical(mono_scan(detector, layer, region))
+    sharded = scan_chip(
+        layer, detector, EngineConfig.from_kwargs(shards=shards),
+        region=region,
+    )
+    assert canonical(sharded) == mono
 
 
 @pytest.fixture(scope="module")
@@ -221,35 +240,30 @@ def routed_block():
     return layer, region
 
 
-@pytest.mark.parametrize("shards", [4, 6])
-def test_fused_cnn_sharded_scan_is_bit_identical(fused_cnn, shards):
+@pytest.mark.parametrize(
+    "shards, dedup",
+    [
+        pytest.param(4, True, id="4"),
+        pytest.param(6, True, id="6"),
+        pytest.param(4, False, id="4-dedup-off"),
+    ],
+)
+def test_fused_cnn_sharded_scan_is_bit_identical(fused_cnn, shards, dedup):
     """Shards hand the compiled plan other batch sizes than the
-    monolithic scan does; every score must still be the same bits."""
-    layer, region = routed_block()
-    mono = mono_scan(fused_cnn, layer, region)
-    sharded = scan_chip(
-        layer, fused_cnn, EngineConfig.from_kwargs(shards=shards),
-        region=region,
-    )
-    assert len(np.unique(mono.scores)) > 10  # scores, not saturated flags
-    assert np.array_equal(sharded.scores, mono.scores)
-    assert canonical(sharded) == canonical(mono)
-
-
-def test_fused_cnn_threaded_shards_are_bit_identical(fused_cnn):
-    """Three shard threads extract DCT features at once; with dedup off
-    every window is scored on them, and every score must still be the
-    monolithic scan's bits."""
+    monolithic scan does, all on one shared detector; every score must
+    still be the same bits.  With dedup off every window is scored."""
     layer, region = routed_block()
     mono = ScanEngine(
-        fused_cnn, config=EngineConfig.from_kwargs(dedup=False)
+        fused_cnn, config=EngineConfig.from_kwargs(dedup=dedup)
     ).scan(layer, region, keep_clips=False)
     sharded = scan_chip(
         layer, fused_cnn,
-        EngineConfig.from_kwargs(shards=4, shard_workers=3, dedup=False),
+        EngineConfig.from_kwargs(shards=shards, dedup=dedup),
         region=region,
     )
-    assert sharded.telemetry.counter("scored") >= sharded.n_windows
+    assert len(np.unique(mono.scores)) > 10  # scores, not saturated flags
+    if not dedup:
+        assert sharded.telemetry.counter("scored") >= sharded.n_windows
     assert np.array_equal(sharded.scores, mono.scores)
     assert canonical(sharded) == canonical(mono)
 
@@ -428,7 +442,6 @@ def test_merge_rejects_mixed_verification(layer, region):
 def _resumable_config(root):
     return EngineConfig.from_kwargs(
         shards=4,
-        shard_workers=1,
         dedup=False,
         chunk_clips=64,
         checkpoint_dir=root,

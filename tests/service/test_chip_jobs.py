@@ -1,8 +1,8 @@
 """Chip-scale jobs through the service: wire gate and inline execution.
 
 A chip job runs through ``scan_chip`` on the worker that claimed it,
-whatever the fleet size; ``shard_workers`` in its ``chip`` knobs spreads
-its shards over threads.  No job ever submits another job.
+whatever the fleet size, its shards one after another on that worker's
+detector copy.  No job ever submits another job.
 """
 
 from __future__ import annotations
@@ -57,14 +57,17 @@ def canonical_chip(layer, detector, region, **chip):
 # ----------------------------------------------------------------------
 class TestWire:
     def test_chip_knobs_round_trip(self, layer, region):
-        request = chip_request(
-            layer, region, {"shards": 4, "shard_workers": 2, "snap_nm": 512}
-        )
+        request = chip_request(layer, region, {"shards": 4, "snap_nm": 512})
         assert validate_job_request(request)["chip"] == {
             "shards": 4,
-            "shard_workers": 2,
             "snap_nm": 512,
         }
+
+    def test_shard_workers_is_refused(self, layer, region):
+        """Shards run one after another: there is no shard thread count
+        to set, so the service answers such a request with a 400."""
+        with pytest.raises(WireError, match="not client-settable"):
+            chip_request(layer, region, {"shards": 4, "shard_workers": 2})
 
     def test_service_side_chip_paths_are_refused(self, layer, region):
         with pytest.raises(WireError, match="not client-settable"):
@@ -108,23 +111,29 @@ class TestWire:
 class TestChipExecution:
     @pytest.mark.parametrize("fleet_workers", [1, 3])
     @pytest.mark.parametrize("instance_dedup", [True, False])
-    @pytest.mark.parametrize("shard_workers", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_served_chip_job_is_byte_identical(
         self, manager, detector, layer, region, fleet_workers,
-        instance_dedup, shard_workers,
+        instance_dedup, jobs,
     ):
-        chip = {
-            "shards": 4,
-            "instance_dedup": instance_dedup,
-            "shard_workers": shard_workers,
-        }
+        """``jobs`` copies of one chip job, submitted together, each match
+        the direct scan: one worker runs them in turn on its detector
+        copy, three workers may run them at once, each on its own copy."""
+        chip = {"shards": 4, "instance_dedup": instance_dedup}
         direct = ScanEngine(detector).scan(layer, region, keep_clips=False)
-        _, stored = serve_one(
-            manager, detector, chip_request(layer, region, chip),
-            fleet_workers,
-        )
-        served = canonical_report_json(stored.document)
-        assert served == canonical_report_json(direct.to_json())
+        fleet = WorkerFleet(manager, detector, workers=fleet_workers)
+        with fleet:
+            ids = [
+                manager.submit(chip_request(layer, region, chip)).job_id
+                for _ in range(jobs)
+            ]
+            assert fleet.wait_idle(timeout=120)
+        assert sorted(r.job_id for r in manager.list_jobs()) == sorted(ids)
+        for job_id in ids:
+            final = manager.status(job_id)
+            assert final.state is JobState.SUCCEEDED, final.error
+            served = canonical_report_json(manager.result(job_id).document)
+            assert served == canonical_report_json(direct.to_json())
         assert served == canonical_chip(layer, detector, region, **chip)
 
     def test_multi_worker_fleet_scans_a_chip_job_inline(
@@ -154,20 +163,6 @@ class TestChipExecution:
         )
         assert stored.metrics["counters"]["shard_scans"] == 1
         assert stored.metrics["counters"]["shard_replays"] == 3
-
-    def test_threaded_chip_job_matches_scan_chip_front_door(
-        self, manager, detector, layer, region
-    ):
-        """``shard_workers`` spreads a served job's shards over threads;
-        the service and the library entrypoint agree byte for byte."""
-        chip = {"shards": 4, "instance_dedup": False, "shard_workers": 2}
-        _, stored = serve_one(
-            manager, detector, chip_request(layer, region, chip), 3
-        )
-        assert canonical_report_json(stored.document) == canonical_chip(
-            layer, detector, region, **chip
-        )
-        assert stored.metrics["counters"]["shard_scans"] == 4
 
     def test_single_worker_fleet_scans_a_chip_job_inline(
         self, manager, detector, layer, region

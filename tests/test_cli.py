@@ -325,7 +325,7 @@ class TestScanChipCommand:
 
 
 class TestScanChipSharding:
-    """--shards / --shard-workers / --manifest-out / --rescan-from."""
+    """--shards / --manifest-out / --rescan-from."""
 
     def _write_block(self, tmp_path):
         from repro.geometry import Layout, Polygon
@@ -366,13 +366,27 @@ class TestScanChipSharding:
                 tmp_path,
                 monkeypatch,
                 sharded,
-                ["--shards", "4", "--shard-workers", "2"],
+                ["--shards", "4"],
             )
             == 0
         )
         assert canonical_report_json(
             sharded.read_text().strip()
         ) == canonical_report_json(mono.read_text().strip())
+
+    def test_shard_workers_flag_is_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Shards run one after another: ``--shard-workers`` is gone."""
+        with pytest.raises(SystemExit) as exited:
+            self._scan(
+                tmp_path,
+                monkeypatch,
+                tmp_path / "r.json",
+                ["--shards", "4", "--shard-workers", "2"],
+            )
+        assert exited.value.code == 2
+        assert "--shard-workers" in capsys.readouterr().err
 
     def test_rescan_from_manifest_round_trips(
         self, tmp_path, capsys, monkeypatch

@@ -238,7 +238,6 @@ class ShardReportFormat:
     def _scan(self, root, **kwargs):
         config = EngineConfig.from_kwargs(
             shards=2,
-            shard_workers=1,
             dedup=False,
             instance_dedup=False,
             checkpoint_dir=root,
